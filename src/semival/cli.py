@@ -15,12 +15,11 @@ import sys
 import time
 
 from . import belief as bf
-from . import domains as dm
 from . import treecomp as tc
 from .compare import Comparator, DEFAULT_COMPARATOR
 from .domains import Domain
 from .errors import CapabilityError, ParseError, SemivalError
-from .model import Model, parse_model, render_model
+from .model import Model, config_text, parse_model, render_model
 from .partitions import check_qseparoid
 from .semiring import check_semiring_axioms, format_value
 from .valuation import check_valuation_axioms
@@ -33,11 +32,7 @@ def _fmt_domain(d: Domain) -> str:
 
 
 def _fmt_focal(model: Model, fs: bf.FocalSet) -> str:
-    cat = model.catalog
-    cfgs = []
-    for values in fs.configs:
-        labels = (cat.frame(n)[v] for n, v in zip(fs.domain.names, values))
-        cfgs.append("(" + " ".join(labels) + ")")
+    cfgs = (config_text(model.catalog, fs.domain, values) for values in fs.configs)
     return "{" + " ".join(cfgs) + "}"
 
 
@@ -46,14 +41,6 @@ def _potential_lines(model: Model, pot: bf.SetPotential, prefix: str) -> list[st
     for fs, mass in pot.focal:
         out.append(f"{prefix}{_fmt_focal(model, fs)}: {format_value(mass)}")
     return out
-
-
-def _deviation(sr, a, b) -> float:
-    dev = 0.0
-    for x, y in zip(a.table, b.table):
-        if not sr.eq(x, y):
-            dev = max(dev, abs(float(x) - float(y)))
-    return dev
 
 
 def _queries(model: Model, args) -> list[Domain]:
@@ -73,6 +60,11 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
         ops = tc.ValuationOps(model.catalog, sr, cap=args.cap)
         factors = model.factor_values()
         lines.insert(0, f"semiring: {sr.name}")
+
+        def answer_lines(q: Domain, answer) -> list[str]:
+            body = " ".join(sr.fmt(x) for x in answer.table)
+            return [f"result {_fmt_domain(q)}: {body}"]
+
         covered = tc.join_of([f.domain for f in factors])
         if not sr.idempotent_add:
             for q in queries:
@@ -86,13 +78,17 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
         factors = [p for _, p in model.potentials]
         lines.insert(0, "semiring: none (set potentials)")
 
+        def answer_lines(q: Domain, answer) -> list[str]:
+            return [f"result {_fmt_domain(q)}:",
+                    *_potential_lines(model, answer, "  focal ")]
+
     if model.trees:
         named = model.trees[0]
         tree = named.with_factors([n for n, _ in (model.factors or model.potentials)])
         lines.append(f"tree: {named.name} ({len(tree)} nodes, given)")
     else:
         tree = tc.build_covering_join_tree(
-            [ops.domain(f) for f in factors],
+            [f.domain for f in factors],
             heuristic=args.heuristic,
             seed=args.seed,
             cover=queries,
@@ -118,23 +114,10 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
             if node_results is None:
                 node_results = tc.distribute(tree, factors, store, ops)
             local = node_results[v]
-        answer = ops.extract(local, q)
-        if isinstance(ops, tc.ValuationOps):
-            body = " ".join(sr.fmt(x) for x in answer.table)
-            lines.append(f"result {_fmt_domain(q)}: {body}")
-        else:
-            lines.append(f"result {_fmt_domain(q)}:")
-            lines.extend(_potential_lines(model, answer, "  focal "))
+        answer = ops.solve_to(local, q)
+        lines.extend(answer_lines(q, answer))
         if args.oracle:
-            expected = tc.naive_solve(factors, q, ops)
-            if isinstance(ops, tc.ValuationOps):
-                dev = _deviation(sr, answer, expected)
-            else:
-                keys = set(answer.by_set) | set(expected.by_set)
-                dev = max(
-                    (abs(answer.mass(k) - expected.mass(k)) for k in keys),
-                    default=0.0,
-                )
+            dev = ops.deviation(answer, tc.naive_solve(factors, q, ops))
             lines.append(f"oracle deviation {_fmt_domain(q)}: {format_value(dev)}")
     lines.append("status: ok")
     return lines, 0
@@ -179,7 +162,7 @@ def cmd_check(model: Model, args, comparator: Comparator) -> tuple[list[str], in
             raise ParseError("model has no sequence stanza")
         name, seq = model.sequences[0]
         lines.append(f"sequence {name}: {len(seq)} steps")
-        bad = _first_violation(seq)
+        bad = tc.first_sequence_violation(seq)
         if bad is None:
             lines.append("valid: yes")
             lines.append("result: pass")
@@ -190,17 +173,6 @@ def cmd_check(model: Model, args, comparator: Comparator) -> tuple[list[str], in
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown check {what!r}")
     return lines, 0 if ok else 1
-
-
-def _first_violation(seq: tc.EliminationSequence) -> int | None:
-    n = len(seq)
-    suffix = [dm.EMPTY_DOMAIN] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = seq.domains[i] | suffix[i + 1]
-    for i in range(n - 1):
-        if not (seq.domains[i] & suffix[i + 1]) <= seq.domains[seq.b[i]]:
-            return i
-    return None
 
 
 def _combined_potential(model: Model, comparator: Comparator) -> bf.SetPotential:
@@ -246,6 +218,7 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
                     f"{tag}: pl {format_value(pl)} dual {format_value(1.0 - sp_c)}"
                 )
     elif op == "moebius":
+        ops = tc.SetPotentialOps(model.catalog)
         for name, pot in model.potentials:
             subsets = bf.all_focal_sets(model.catalog, pot.domain, cap=args.subset_cap)
             lines.append(
@@ -263,10 +236,7 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
             back_q = bf.commonality_to_mass(model.catalog, pot.domain, qtable,
                                             cap=args.subset_cap, comparator=comparator)
             for label, back in (("belief", back_b), ("commonality", back_q)):
-                keys = set(pot.by_set) | set(back.by_set)
-                dev = max(
-                    (abs(pot.mass(k) - back.mass(k)) for k in keys), default=0.0
-                )
+                dev = ops.deviation(pot, back)
                 lines.append(f"  roundtrip {label}: max deviation {format_value(dev)}")
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown evidence op {op!r}")

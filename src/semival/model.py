@@ -70,6 +70,13 @@ def _tokens(line: str) -> list[str]:
     return line.split()
 
 
+def _index(tok: str, line_no: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"expected an integer index, got {tok!r}", line_no) from None
+
+
 def _parse_configs(cat: VariableCatalog, domain: Domain, text: str,
                    line_no: int) -> list[tuple[int, ...]]:
     """Parse ``(a b) (c d)`` into value-index tuples over ``domain``."""
@@ -288,18 +295,18 @@ class _Parser:
             if t[0] == "node":
                 if len(t) < 3 or t[2] != ":":
                     raise ParseError("expected 'node INDEX : VAR...'", no)
-                idx = int(t[1])
+                idx = _index(t[1], no)
                 if idx in labels:
                     raise ParseError(f"duplicate node {idx}", no)
                 labels[idx] = self._domain_from(t[3:], no)
             elif t[0] == "edge":
                 if len(t) != 3:
                     raise ParseError("expected 'edge A B'", no)
-                edges.append((int(t[1]), int(t[2])))
+                edges.append((_index(t[1], no), _index(t[2], no)))
             elif t[0] == "assign":
                 if len(t) != 3:
                     raise ParseError("expected 'assign FACTOR NODE'", no)
-                assigned[t[1]] = int(t[2])
+                assigned[t[1]] = _index(t[2], no)
             else:
                 raise ParseError(f"unknown tree line {t[0]!r}", no)
         if sorted(labels) != list(range(len(labels))):
@@ -327,7 +334,7 @@ class _Parser:
                 if arrow != len(t) - 2:
                     raise ParseError("pointer must end the step line", no)
                 domains.append(self._domain_from(t[1:arrow], no))
-                pointers.append(int(t[-1]) - 1)  # file is 1-based
+                pointers.append(_index(t[-1], no) - 1)  # file is 1-based
             else:
                 domains.append(self._domain_from(t[1:], no))
                 pointers.append(-1)
@@ -368,8 +375,9 @@ def parse_model(text: str, comparator: Comparator = DEFAULT_COMPARATOR) -> Model
     return _Parser(text, comparator).parse()
 
 
-def _config_text(cat: VariableCatalog, domain: Domain,
-                 values: tuple[int, ...]) -> str:
+def config_text(cat: VariableCatalog, domain: Domain,
+                values: tuple[int, ...]) -> str:
+    """One configuration of ``domain`` as ``(label ...)``, from value indices."""
     labels = (cat.frame(n)[v] for n, v in zip(domain.names, values))
     return "(" + " ".join(labels) + ")"
 
@@ -397,7 +405,7 @@ def render_model(model: Model) -> str:
         out.append(head)
         out.append(f"  kind {pot.kind}")
         for fs, mass in pot.focal:
-            cfgs = " ".join(_config_text(cat, pot.domain, v) for v in fs.configs)
+            cfgs = " ".join(config_text(cat, pot.domain, v) for v in fs.configs)
             out.append(f"  focal {format_value(mass)} :" + (" " + cfgs if cfgs else ""))
         out.append("end")
     for name, uni in model.universes.items():
@@ -425,7 +433,7 @@ def render_model(model: Model) -> str:
     for q in model.queries:
         out.append(("query " + " ".join(q.names)).rstrip())
     for name, h in model.hypotheses:
-        cfgs = " ".join(_config_text(cat, h.domain, v) for v in h.configs)
+        cfgs = " ".join(config_text(cat, h.domain, v) for v in h.configs)
         out.append(f"hypothesis {name} on " + " ".join(h.domain.names)
                    + " :" + (" " + cfgs if cfgs else ""))
     return "\n".join(out) + "\n"

@@ -21,11 +21,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import DomainError, MismatchError
-from .reports import FAIL, PASS, CheckReport, LawResult
+from .reports import CheckReport, run_law
 
 Label = Hashable
 
@@ -220,6 +220,11 @@ def all_partitions(universe: Universe) -> list[Partition]:
     return [Partition.of(universe, blocks) for blocks in out]
 
 
+def _triple_witness(k: int, xyz: tuple) -> str:
+    x, y, z = xyz
+    return f"x=[{x}] y=[{y}] z=[{z}]"
+
+
 def check_qseparoid(
     parts: Sequence[Partition],
     exhaustive_limit: int = 200_000,
@@ -261,21 +266,6 @@ def check_qseparoid(
         ]
         samples = len(triples)
 
-    results: list[LawResult] = []
-
-    def law(name: str, pred):
-        for triple in triples:
-            if not pred(*triple):
-                x, y, z = triple
-                results.append(
-                    LawResult(name, FAIL, f"x=[{x}] y=[{y}] z=[{z}]")
-                )
-                return
-        results.append(LawResult(name, PASS))
-
-    law("C1-self-conditioning", lambda x, y, z: rel(x, y, y))
-    law("C2-symmetry", lambda x, y, z: not rel(x, y, z) or rel(y, x, z))
-
     def c3(x, y, z):
         if not rel(x, y, z):
             return True
@@ -286,16 +276,20 @@ def check_qseparoid(
         )
         return all(rel(x, w, z) for w in coarser)
 
-    law("C3-coarsening", c3)
-    law("C4-join-absorption",
-        lambda x, y, z: not rel(x, y, z) or rel(x, partition_join(y, z), z))
-    law("basic", lambda x, y, z: not rel(x, x, y) or partition_leq(x, y))
-
+    law = partial(run_law, trials=triples, witness=_triple_witness)
+    laws = (
+        law("C1-self-conditioning", lambda x, y, z: rel(x, y, y)),
+        law("C2-symmetry", lambda x, y, z: not rel(x, y, z) or rel(y, x, z)),
+        law("C3-coarsening", c3),
+        law("C4-join-absorption",
+            lambda x, y, z: not rel(x, y, z) or rel(x, partition_join(y, z), z)),
+        law("basic", lambda x, y, z: not rel(x, x, y) or partition_leq(x, y)),
+    )
     return CheckReport(
         subject="partition q-separoid",
         seed=seed,
         samples=samples,
-        laws=tuple(results),
+        laws=laws,
         details=(
             f"family size {n}, {'exhaustive' if exhaustive else 'sampled'} triples",
         ),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 PASS = "pass"
 FAIL = "fail"
@@ -20,6 +21,19 @@ class LawResult:
         if self.witness:
             out += f"  [{self.witness}]"
         return out
+
+
+def run_law(name: str, pred: Callable[..., bool], *, trials: Sequence[tuple],
+            witness: Callable[[int, tuple], str],
+            applicable: bool = True) -> LawResult:
+    """Evaluate ``pred(*trial)`` on the trials in order, stopping at the first
+    failure, whose index and trial ``witness`` describes."""
+    if not applicable:
+        return LawResult(name, NOT_APPLICABLE)
+    for k, trial in enumerate(trials):
+        if not pred(*trial):
+            return LawResult(name, FAIL, witness(k, trial))
+    return LawResult(name, PASS)
 
 
 @dataclass(frozen=True)

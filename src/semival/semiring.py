@@ -23,11 +23,12 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from .compare import DEFAULT_COMPARATOR, Comparator
 from .errors import DomainError
-from .reports import FAIL, NOT_APPLICABLE, PASS, CheckReport, LawResult
+from .reports import CheckReport, run_law
 
 NEG_INF = float("-inf")
 
@@ -221,8 +222,8 @@ def get_instance(name: str, comparator: Comparator = DEFAULT_COMPARATOR) -> Semi
     return table[name]
 
 
-def _witness(pairs) -> str:
-    return ", ".join(f"{n}={format_value(v)}" for n, v in pairs)
+def _witness(k: int, abc: tuple) -> str:
+    return ", ".join(f"{n}={format_value(v)}" for n, v in zip("abc", abc))
 
 
 def check_semiring_axioms(
@@ -238,58 +239,37 @@ def check_semiring_axioms(
     rng = random.Random(seed)
     draws = [(sr.sample(rng), sr.sample(rng), sr.sample(rng)) for _ in range(samples)]
     add, mul, eq = sr.add, sr.mul, sr.eq
-    results: list[LawResult] = []
-
-    def law(name: str, pred, applicable: bool = True):
-        if not applicable:
-            results.append(LawResult(name, NOT_APPLICABLE))
-            return
-        for a, b, c in draws:
-            if not pred(a, b, c):
-                results.append(
-                    LawResult(name, FAIL, _witness([("a", a), ("b", b), ("c", c)]))
-                )
-                return
-        results.append(LawResult(name, PASS))
-
-    law("add-commutative", lambda a, b, c: eq(add(a, b), add(b, a)))
-    law("add-associative", lambda a, b, c: eq(add(add(a, b), c), add(a, add(b, c))))
-    law("mul-commutative", lambda a, b, c: eq(mul(a, b), mul(b, a)))
-    law("mul-associative", lambda a, b, c: eq(mul(mul(a, b), c), mul(a, mul(b, c))))
-    law(
-        "distributive",
-        lambda a, b, c: eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c))),
-    )
     has_zero = sr.zero is not None
-    law("zero-neutral", lambda a, b, c: eq(add(a, sr.zero), a), applicable=has_zero)
-    law("zero-absorbing", lambda a, b, c: eq(mul(a, sr.zero), sr.zero), applicable=has_zero)
-    law("one-neutral", lambda a, b, c: eq(mul(sr.one, a), a))
-    law(
-        "flag-idempotent-add",
-        lambda a, b, c: eq(add(a, a), a),
-        applicable=sr.idempotent_add,
-    )
-    law(
-        "flag-idempotent-mul",
-        lambda a, b, c: eq(mul(a, a), a),
-        applicable=sr.idempotent_mul,
-    )
-    law(
-        "flag-positive",
-        lambda a, b, c: not eq(add(a, b), sr.zero) or (eq(a, sr.zero) and eq(b, sr.zero)),
-        applicable=sr.positive and has_zero,
-    )
     # fully idempotent bounded instances form a distributive lattice:
     # addition is join, multiplication meet; absorption witnesses that.
     both = sr.idempotent_add and sr.idempotent_mul
-    law("absorption-add", lambda a, b, c: eq(add(a, mul(a, b)), a), applicable=both)
-    law("absorption-mul", lambda a, b, c: eq(mul(a, add(a, b)), a), applicable=both)
-
+    law = partial(run_law, trials=draws, witness=_witness)
+    laws = (
+        law("add-commutative", lambda a, b, c: eq(add(a, b), add(b, a))),
+        law("add-associative", lambda a, b, c: eq(add(add(a, b), c), add(a, add(b, c)))),
+        law("mul-commutative", lambda a, b, c: eq(mul(a, b), mul(b, a))),
+        law("mul-associative", lambda a, b, c: eq(mul(mul(a, b), c), mul(a, mul(b, c)))),
+        law("distributive",
+            lambda a, b, c: eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))),
+        law("zero-neutral", lambda a, b, c: eq(add(a, sr.zero), a), applicable=has_zero),
+        law("zero-absorbing", lambda a, b, c: eq(mul(a, sr.zero), sr.zero),
+            applicable=has_zero),
+        law("one-neutral", lambda a, b, c: eq(mul(sr.one, a), a)),
+        law("flag-idempotent-add", lambda a, b, c: eq(add(a, a), a),
+            applicable=sr.idempotent_add),
+        law("flag-idempotent-mul", lambda a, b, c: eq(mul(a, a), a),
+            applicable=sr.idempotent_mul),
+        law("flag-positive",
+            lambda a, b, c: not eq(add(a, b), sr.zero) or (eq(a, sr.zero) and eq(b, sr.zero)),
+            applicable=sr.positive and has_zero),
+        law("absorption-add", lambda a, b, c: eq(add(a, mul(a, b)), a), applicable=both),
+        law("absorption-mul", lambda a, b, c: eq(mul(a, add(a, b)), a), applicable=both),
+    )
     return CheckReport(
         subject=f"semiring {sr.name}",
         seed=seed,
         samples=samples,
-        laws=tuple(results),
+        laws=laws,
     )
 
 

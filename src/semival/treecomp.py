@@ -1,9 +1,21 @@
 """Local computation on labeled trees and hypertree sequences.
 
 The solvers are generic over the information algebra: an *ops* adapter
-supplies combination, unit elements and message shaping for either
-semiring valuations (:class:`ValuationOps`) or set potentials
-(:class:`SetPotentialOps`).  Two message forms exist for valuations:
+for either semiring valuations (:class:`ValuationOps`) or set potentials
+(:class:`SetPotentialOps`) provides
+
+* ``catalog`` -- the variable catalog its values live in,
+* ``combine(a, b)``, ``unit(d)`` -- combination and its neutral element,
+* ``transport(a, d)``, ``message(a, target)`` -- moving information to
+  another domain and shaping an edge message for the receiving label,
+* ``solve_to(a, x)`` -- the answer on ``x`` (projection when covered),
+* ``equal(a, b)``, ``deviation(a, b)`` -- comparison and the largest
+  numeric difference, for oracle reports,
+* ``supports_transport``, ``supports_idempotent_distribute`` --
+  capability flags gating the hypertree schemes.
+
+Every value carries its own ``.domain``.  Two message forms exist for
+valuations:
 
 * transport form -- messages live on the receiving node's full label;
   valid when the semiring has idempotent addition,
@@ -23,6 +35,7 @@ that every local scheme is tested against.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Sequence
@@ -103,23 +116,6 @@ class LabeledTree:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def path(self, u: int, v: int) -> list[int]:
-        parent = {u: u}
-        frontier = [u]
-        while frontier:
-            w = frontier.pop()
-            if w == v:
-                break
-            for x in self.neighbors[w]:
-                if x not in parent:
-                    parent[x] = w
-                    frontier.append(x)
-        out = [v]
-        while out[-1] != u:
-            out.append(parent[out[-1]])
-        out.reverse()
-        return out
-
     def rooted_order(self, root: int) -> tuple[list[int], list[int]]:
         """(BFS order from root, parent per node; parent[root] == root)."""
         order = [root]
@@ -151,16 +147,17 @@ class LabeledTree:
 
 
 def is_join_tree(tree: LabeledTree) -> bool:
-    """Running intersection: shared variables survive along every path."""
-    n = len(tree)
-    for u in range(n):
-        for v in range(u + 1, n):
-            shared = tree.labels[u] & tree.labels[v]
-            if not shared:
-                continue
-            if any(not shared <= tree.labels[w] for w in tree.path(u, v)):
-                return False
-    return True
+    """Running intersection: the nodes holding each variable form a subtree.
+
+    Nodes of a tree are connected exactly when the edges among them number
+    one less than the nodes, so every variable must be held by one more
+    node than edge.  Linear in the total label size.
+    """
+    labels = [set(label.names) for label in tree.labels]
+    excess = Counter(name for label in labels for name in label)
+    for a, b in tree.edges:
+        excess.subtract(labels[a] & labels[b])
+    return all(k == 1 for k in excess.values())
 
 
 def ci_family(domains: Sequence[Domain], z: Domain) -> bool:
@@ -201,17 +198,10 @@ def markov_check_direct(tree: LabeledTree) -> bool:
 def is_markov_tree(tree: LabeledTree) -> bool:
     """On subset-lattice labels the join-tree test decides the Markov property.
 
-    For small trees the quantified definition is evaluated as well; a
-    disagreement would be a bug, not a property of the input.
+    :func:`markov_check_direct` evaluates the quantified definition and is
+    the reference the two are tested against.
     """
-    result = is_join_tree(tree)
-    if len(tree) <= 8:
-        direct = markov_check_direct(tree)
-        if direct != result:
-            raise AssertionError(
-                "join-tree and direct Markov checks disagree on subset domains"
-            )
-    return result
+    return is_join_tree(tree)
 
 
 @dataclass(frozen=True)
@@ -235,16 +225,21 @@ class EliminationSequence:
         return len(self.domains)
 
 
-def verify_hypertree_sequence(seq: EliminationSequence) -> bool:
-    """Each eliminated domain meets the rest only inside its pointer target."""
+def first_sequence_violation(seq: EliminationSequence) -> int | None:
+    """First step whose domain meets the later ones outside its pointer target."""
     n = len(seq)
     suffix = [dm.EMPTY_DOMAIN] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = seq.domains[i] | suffix[i + 1]
-    return all(
-        (seq.domains[i] & suffix[i + 1]) <= seq.domains[seq.b[i]]
-        for i in range(n - 1)
-    )
+    for i in range(n - 1):
+        if not (seq.domains[i] & suffix[i + 1]) <= seq.domains[seq.b[i]]:
+            return i
+    return None
+
+
+def verify_hypertree_sequence(seq: EliminationSequence) -> bool:
+    """Each eliminated domain meets the rest only inside its pointer target."""
+    return first_sequence_violation(seq) is None
 
 
 def sequence_to_join_tree(seq: EliminationSequence) -> LabeledTree:
@@ -402,25 +397,11 @@ def tree_to_sequence(tree: LabeledTree, root: int | None = None
 class ValuationOps:
     """Collect/distribute backend for semiring-valued tables."""
 
-    def __init__(
-        self,
-        cat: VariableCatalog,
-        sr: Semiring,
-        form: str | None = None,
-        cap: int | None = dm.DEFAULT_CONFIG_CAP,
-    ):
-        if form is None:
-            form = TRANSPORT if sr.idempotent_add else PROJECTION
-        if form == TRANSPORT and not sr.idempotent_add:
-            raise CapabilityError(
-                f"transport-form messages need idempotent addition; "
-                f"{sr.name} only supports the projection form"
-            )
-        if form not in (TRANSPORT, PROJECTION):
-            raise DomainError(f"unknown message form {form!r}")
+    def __init__(self, cat: VariableCatalog, sr: Semiring, *,
+                 cap: int | None = dm.DEFAULT_CONFIG_CAP):
         self.catalog = cat
         self.semiring = sr
-        self.form = form
+        self.form = TRANSPORT if sr.idempotent_add else PROJECTION
         self.cap = cap
 
     def combine(self, a, b):
@@ -428,9 +409,6 @@ class ValuationOps:
 
     def unit(self, d: Domain):
         return va.unit(self.catalog, self.semiring, d, cap=self.cap)
-
-    def domain(self, a) -> Domain:
-        return a.domain
 
     def transport(self, a, d: Domain):
         return va.transport(a, d, cap=self.cap)
@@ -450,12 +428,15 @@ class ValuationOps:
             f"to non-subset {x}: transport needs idempotent addition"
         )
 
-    def extract(self, a, q: Domain):
-        """Final answer for a query covered by the node's label."""
-        return va.project(a, q)
-
     def equal(self, a, b) -> bool:
         return va.valuations_equal(a, b)
+
+    def deviation(self, a, b) -> float:
+        dev = 0.0
+        for x, y in zip(a.table, b.table):
+            if not self.semiring.eq(x, y):
+                dev = max(dev, abs(float(x) - float(y)))
+        return dev
 
     @property
     def supports_transport(self) -> bool:
@@ -469,7 +450,6 @@ class ValuationOps:
 class SetPotentialOps:
     """Collect/distribute backend for sparse set potentials."""
 
-    form = TRANSPORT
     supports_transport = True
     # combination of set potentials is not idempotent
     supports_idempotent_distribute = False
@@ -484,19 +464,10 @@ class SetPotentialOps:
     def unit(self, d: Domain):
         return bf.vacuous(self.catalog, d)
 
-    def domain(self, a) -> Domain:
-        return a.domain
-
     def transport(self, a, d: Domain):
         return bf.transport_potential(a, d, cap=self.cap)
 
-    message = transport
-
-    def solve_to(self, a, x: Domain):
-        return bf.transport_potential(a, x, cap=self.cap)
-
-    def extract(self, a, q: Domain):
-        return bf.transport_potential(a, q, cap=self.cap)
+    message = solve_to = transport
 
     def equal(self, a, b) -> bool:
         if a.domain != b.domain:
@@ -504,13 +475,16 @@ class SetPotentialOps:
         keys = set(a.by_set) | set(b.by_set)
         return all(DEFAULT_COMPARATOR.eq(a.mass(k), b.mass(k)) for k in keys)
 
+    def deviation(self, a, b) -> float:
+        keys = set(a.by_set) | set(b.by_set)
+        return max((abs(a.mass(k) - b.mass(k)) for k in keys), default=0.0)
+
 
 @dataclass
 class MessageStore:
     """Inward messages cached by collect, keyed by directed edge (w -> v)."""
 
     root: int
-    form: str
     messages: dict[tuple[int, int], object] = field(default_factory=dict)
     node_factors: tuple = ()
 
@@ -521,9 +495,9 @@ def _node_factors(tree: LabeledTree, factors: Sequence, ops) -> list:
             f"{len(factors)} factors but {len(tree.assignment)} assignments"
         )
     for k, f in enumerate(factors):
-        if not ops.domain(f) <= tree.labels[tree.assignment[k]]:
+        if not f.domain <= tree.labels[tree.assignment[k]]:
             raise DomainError(
-                f"factor {k} on {ops.domain(f)} not covered by node "
+                f"factor {k} on {f.domain} not covered by node "
                 f"{tree.assignment[k]} labeled {tree.labels[tree.assignment[k]]}"
             )
     out = [ops.unit(label) for label in tree.labels]
@@ -541,7 +515,7 @@ def collect(tree: LabeledTree, factors: Sequence, root: int, ops):
         raise DomainError("labels do not form a join tree")
     node_factors = _node_factors(tree, factors, ops)
     order, parent = tree.rooted_order(root)
-    store = MessageStore(root=root, form=ops.form, node_factors=tuple(node_factors))
+    store = MessageStore(root=root, node_factors=tuple(node_factors))
     for v in reversed(order):
         if v == root:
             continue
@@ -619,9 +593,9 @@ def hypertree_collect(seq: EliminationSequence, factors: Sequence, ops):
     if len(factors) != len(seq):
         raise DomainError(f"{len(seq)} domains but {len(factors)} factors")
     for i, f in enumerate(factors):
-        if ops.domain(f) != seq.domains[i]:
+        if f.domain != seq.domains[i]:
             raise DomainError(
-                f"factor {i} lives on {ops.domain(f)}, sequence expects "
+                f"factor {i} lives on {f.domain}, sequence expects "
                 f"{seq.domains[i]}"
             )
     psi = list(factors)

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Sequence
 
 from . import domains as dm
 from .domains import Domain, VariableCatalog
 from .errors import CapabilityError, DomainError, MassError, MismatchError
-from .reports import FAIL, NOT_APPLICABLE, PASS, CheckReport, LawResult
+from .reports import CheckReport, run_law
 from .semiring import Semiring
 
 import random
@@ -208,6 +208,11 @@ def _random_valuation(rng: random.Random, cat: VariableCatalog, sr: Semiring,
     return Valuation(cat, sr, d, tuple(sr.sample(rng) for _ in range(n)))
 
 
+def _trial_witness(k: int, trial: tuple) -> str:
+    _, s, t, r, _, _ = trial
+    return f"trial {k}: s={s} t={t} r={r}"
+
+
 def check_valuation_axioms(
     sr: Semiring,
     samples: int = 200,
@@ -221,7 +226,6 @@ def check_valuation_axioms(
     rather than silently skipped.
     """
     rng = random.Random(seed)
-    results: list[LawResult] = []
     idem = sr.idempotent_add
     fully_idem = idem and sr.idempotent_mul
 
@@ -235,29 +239,10 @@ def check_valuation_axioms(
         psi = _random_valuation(rng, cat, sr, t)
         trials.append((cat, s, t, r, phi, psi))
 
-    def law(name: str, pred, applicable: bool = True):
-        if not applicable:
-            results.append(LawResult(name, NOT_APPLICABLE))
-            return
-        for k, (cat, s, t, r, phi, psi) in enumerate(trials):
-            if not pred(cat, s, t, r, phi, psi):
-                results.append(LawResult(name, FAIL, f"trial {k}: s={s} t={t} r={r}"))
-                return
-        results.append(LawResult(name, PASS))
-
-    law("combine-commutative",
-        lambda cat, s, t, r, phi, psi: valuations_equal(combine(phi, psi),
-                                                        combine(psi, phi)))
-
     def assoc(cat, s, t, r, phi, psi):
         chi = _random_valuation(rng, cat, sr, r)
         return valuations_equal(combine(combine(phi, psi), chi),
                                 combine(phi, combine(psi, chi)))
-    law("combine-associative", assoc)
-
-    law("labeling",
-        lambda cat, s, t, r, phi, psi: combine(phi, psi).domain == (s | t)
-        and project(phi, s & r).domain == (s & r))
 
     def stepwise(cat, s, t, r, phi, psi):
         # x <= y <= d(phi): two nested random subdomains
@@ -265,43 +250,47 @@ def check_valuation_axioms(
         x = Domain(tuple(rng.sample(y.names, rng.randint(0, len(y)))))
         return valuations_equal(project(phi, x), project(project(phi, y), x))
 
-    law("projection-stepwise", stepwise)
-
-    law("combination-projection",
-        lambda cat, s, t, r, phi, psi: valuations_equal(
-            project(combine(phi, psi), s), combine(phi, project(psi, s & t))))
-
-    law("combine-via-extension",
-        lambda cat, s, t, r, phi, psi: valuations_equal(
-            combine(phi, psi),
-            combine(vacuous_extend(phi, s | t), vacuous_extend(psi, s | t))))
-
     def nullity(cat, s, t, r, phi, psi):
         y = s & t
         if is_null(phi):
             return is_null(project(phi, y))
         # positive semirings cannot lose all information by projection
         return not is_null(project(phi, y))
-    law("projection-nullity", nullity,
-        applicable=sr.positive and sr.zero is not None)
 
-    law("transport-composition", lambda cat, s, t, r, phi, psi: valuations_equal(
-        transport(transport(phi, r), t), transport(phi, t)), applicable=idem)
-
-    law("transport-combination", lambda cat, s, t, r, phi, psi: valuations_equal(
-        transport(combine(phi, psi), r),
-        combine(transport(phi, r), transport(psi, r))), applicable=idem)
-
-    law("stability", lambda cat, s, t, r, phi, psi: valuations_equal(
-        project(unit(cat, sr, s), s & t), unit(cat, sr, s & t)), applicable=idem)
-
-    law("idempotency", lambda cat, s, t, r, phi, psi: valuations_equal(
-        combine(phi, transport(phi, t)), transport(phi, s | t)),
-        applicable=fully_idem)
-
+    # laws run in order: assoc and stepwise draw from rng as they go
+    law = partial(run_law, trials=trials, witness=_trial_witness)
+    laws = (
+        law("combine-commutative",
+            lambda cat, s, t, r, phi, psi: valuations_equal(combine(phi, psi),
+                                                            combine(psi, phi))),
+        law("combine-associative", assoc),
+        law("labeling",
+            lambda cat, s, t, r, phi, psi: combine(phi, psi).domain == (s | t)
+            and project(phi, s & r).domain == (s & r)),
+        law("projection-stepwise", stepwise),
+        law("combination-projection",
+            lambda cat, s, t, r, phi, psi: valuations_equal(
+                project(combine(phi, psi), s), combine(phi, project(psi, s & t)))),
+        law("combine-via-extension",
+            lambda cat, s, t, r, phi, psi: valuations_equal(
+                combine(phi, psi),
+                combine(vacuous_extend(phi, s | t), vacuous_extend(psi, s | t)))),
+        law("projection-nullity", nullity,
+            applicable=sr.positive and sr.zero is not None),
+        law("transport-composition", lambda cat, s, t, r, phi, psi: valuations_equal(
+            transport(transport(phi, r), t), transport(phi, t)), applicable=idem),
+        law("transport-combination", lambda cat, s, t, r, phi, psi: valuations_equal(
+            transport(combine(phi, psi), r),
+            combine(transport(phi, r), transport(psi, r))), applicable=idem),
+        law("stability", lambda cat, s, t, r, phi, psi: valuations_equal(
+            project(unit(cat, sr, s), s & t), unit(cat, sr, s & t)), applicable=idem),
+        law("idempotency", lambda cat, s, t, r, phi, psi: valuations_equal(
+            combine(phi, transport(phi, t)), transport(phi, s | t)),
+            applicable=fully_idem),
+    )
     return CheckReport(
         subject=f"valuation algebra over {sr.name}",
         seed=seed,
         samples=samples,
-        laws=tuple(results),
+        laws=laws,
     )

@@ -51,3 +51,34 @@ def dict_solve(cat, sr, factors, x: Domain):
     for d, t in factors:
         du, tu = dict_combine(cat, sr, du, tu, d, t)
     return dict_project(cat, sr, du, tu, x)
+
+
+def tree_path(tree, u, v):
+    """Nodes on the unique path from ``u`` to ``v``, both ends included."""
+    parent = {u: u}
+    frontier = [u]
+    while frontier:
+        w = frontier.pop()
+        if w == v:
+            break
+        for x in tree.neighbors[w]:
+            if x not in parent:
+                parent[x] = w
+                frontier.append(x)
+    out = [v]
+    while out[-1] != u:
+        out.append(parent[out[-1]])
+    return out[::-1]
+
+
+def pairwise_join_tree(tree):
+    """Running intersection by definition: every pair's shared variables
+    lie in every label on the path between them."""
+    n = len(tree.labels)
+    for u in range(n):
+        for v in range(u + 1, n):
+            shared = set(tree.labels[u].names) & set(tree.labels[v].names)
+            for w in tree_path(tree, u, v):
+                if not shared <= set(tree.labels[w].names):
+                    return False
+    return True

@@ -138,6 +138,21 @@ def test_parse_error_carries_line_number():
     assert "line 4" in str(exc.value)
 
 
+@pytest.mark.parametrize("stanza, line", [
+    ("tree t\n  node a : x\nend\n", 6),
+    ("tree t\n  node 0 : x\n  node 1 : x\n  edge 0 b\nend\n", 8),
+    ("tree t\n  node 0 : x\n  assign f one\nend\n", 7),
+    ("sequence s\n  step x -> two\n  step x\nend\n", 6),
+])
+def test_bad_integer_index_is_a_parse_error(stanza, line):
+    text = "catalog\n  var x : 0 1\nend\nsemiring boolean\n" + stanza
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert f"line {line}" in str(exc.value)
+    code, out, err = _run_stdin(["render", "-"], text)
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 def test_table_length_validation():
     text = (
         "catalog\n  var x : 0 1\nend\nsemiring boolean\n"

@@ -8,6 +8,7 @@ from semival import treecomp as tc
 from semival.errors import CapabilityError, DomainError
 
 import helpers
+import oracles
 
 
 def D(*names):
@@ -23,7 +24,6 @@ def test_tree_validation():
         sv.LabeledTree((D("x"),), ((0, 0),))
     tree = sv.LabeledTree((D("x"), D("x", "y"), D("y")), ((0, 1), (1, 2)))
     assert tree.neighbors == ((1,), (0, 2), (1,))
-    assert tree.path(0, 2) == [0, 1, 2]
     assert tree.subtree_nodes(1, 0) == [0]
 
 
@@ -81,6 +81,54 @@ def test_join_and_direct_markov_agree_exhaustively():
                 assert tc.markov_check_direct(tree) == sv.is_join_tree(tree)
                 cases += 1
     assert cases >= 1000
+
+
+def _random_labeled_tree(rng, n, shape):
+    """A tree of ``n`` nodes, renumbered at random, with labels that are
+    either grown along the edges (a join tree) plus maybe one stray
+    variable, or drawn independently from a small pool."""
+    if shape == "chain":
+        edges = [(i - 1, i) for i in range(1, n)]
+    elif shape == "star":
+        edges = [(0, i) for i in range(1, n)]
+    else:
+        edges = [(rng.randrange(i), i) for i in range(1, n)]
+    if rng.random() < 0.5:
+        fresh = itertools.count()
+        labels = [{f"v{next(fresh)}"}]
+        for a, b in edges:
+            kept = {x for x in labels[a] if rng.random() < 0.6}
+            labels.append(kept | {f"v{next(fresh)}" for _ in range(rng.randint(0, 2))})
+        if rng.random() < 0.5:
+            every = sorted(set().union(*labels))
+            labels[rng.randrange(n)].add(rng.choice(every))
+    else:
+        pool = [f"v{i}" for i in range(rng.randint(1, 8))]
+        labels = [{x for x in pool if rng.random() < 0.3} for _ in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [None] * n
+    for old, new in enumerate(perm):
+        out[new] = sv.Domain(tuple(labels[old]))
+    return sv.LabeledTree(tuple(out), tuple((perm[a], perm[b]) for a, b in edges))
+
+
+def test_join_tree_count_test_matches_pairwise_paths():
+    """The per-variable count agrees with the pairwise-path definition."""
+    rng = random.Random(4)
+    verdicts = []
+    for k in range(2100):
+        shape = ("chain", "star", "random")[k % 3]
+        tree = _random_labeled_tree(rng, rng.randint(1, 40), shape)
+        verdict = sv.is_join_tree(tree)
+        assert verdict == oracles.pairwise_join_tree(tree)
+        verdicts.append(verdict)
+    assert 500 < sum(verdicts) < 1600
+    for _ in range(60):
+        cat, factors = helpers.random_instance(rng, sv.get_instance("boolean"),
+                                               max_vars=6, max_factors=5)
+        tree = sv.build_covering_join_tree([f.domain for f in factors])
+        assert sv.is_join_tree(tree) and oracles.pairwise_join_tree(tree)
 
 
 def test_family_independence_closure():
@@ -280,12 +328,6 @@ def test_collect_boolean_chain_matches_oracle():
             assert sv.valuations_equal(
                 r, sv.naive_solve([f1, f2], tree.labels[v], ops)
             )
-
-
-def test_collect_form_capability(arithmetic_chain):
-    cat, ar, factors = arithmetic_chain
-    with pytest.raises(CapabilityError):
-        tc.ValuationOps(cat, ar, form=tc.TRANSPORT)
 
 
 def test_collect_rejects_uncovered_factor():
