@@ -105,16 +105,12 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
     lines.append(f"root: {root}")
 
     result, store = tc.collect(tree, factors, root, ops)
-    node_results = None
-    for q in queries:
-        v = tc.default_root(tree, q)
-        if v == root:
-            local = result
-        else:
-            if node_results is None:
-                node_results = tc.distribute(tree, factors, store, ops)
-            local = node_results[v]
-        answer = ops.solve_to(local, q)
+    at = [tc.default_root(tree, q) for q in queries]
+    away = list(dict.fromkeys(v for v in at if v != root))
+    local = dict(zip(away, tc.distribute(tree, factors, store, ops, nodes=away)))
+    local[root] = result
+    for q, v in zip(queries, at):
+        answer = ops.solve_to(local[v], q)
         lines.extend(answer_lines(q, answer))
         if args.oracle:
             dev = ops.deviation(answer, tc.naive_solve(factors, q, ops))

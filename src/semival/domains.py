@@ -122,6 +122,14 @@ class VariableCatalog:
     def of(cls, spec: Mapping[str, Iterable[str]]) -> "VariableCatalog":
         return cls(tuple(Variable(n, tuple(f)) for n, f in spec.items()))
 
+    def __hash__(self) -> int:
+        # catalogs key the index-map cache; hash every variable only once
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.variables)
+
     @cached_property
     def _by_name(self) -> dict[str, Variable]:
         return {v.name: v for v in self.variables}
@@ -247,31 +255,30 @@ def enumerate_configs(
     return out
 
 
+def _offsets(sizes, contribs) -> list[int]:
+    """Row-major sweep of a mixed-radix counter: ``sum(digit * contrib)``.
+
+    The first size is the outermost digit.  Built one variable at a time
+    with list comprehensions, so the per-cell work runs at C level.
+    """
+    out = [0]
+    for size, c in zip(sizes, contribs):
+        steps = [k * c for k in range(size)]
+        out = [x + k for x in out for k in steps]
+    return out
+
+
 @lru_cache(maxsize=256)
 def restriction_index_map(
     cat: VariableCatalog, big: Domain, sub: Domain
 ) -> tuple[int, ...]:
     """``m[i]`` = index in ``sub`` of the restriction of ``big``'s config ``i``.
 
-    Computed with an odometer sweep so no configuration objects are built;
-    this is the indexing workhorse behind table combination/projection.
+    No configuration objects are built; this is the indexing workhorse
+    behind table combination and vacuous extension.
     """
     if not sub <= big:
         raise DomainError(f"{sub} is not a subset of {big}")
-    n = cat.config_count(big, cap=None)
-    sizes = [cat.size(name) for name in big.names]
     sub_strides = dict(zip(sub.names, strides(cat, sub)))
-    contrib = [sub_strides.get(name, 0) for name in big.names]
-    out = [0] * n
-    digits = [0] * len(big)
-    val = 0
-    for i in range(n):
-        out[i] = val
-        for p in range(len(big) - 1, -1, -1):
-            digits[p] += 1
-            val += contrib[p]
-            if digits[p] < sizes[p]:
-                break
-            digits[p] = 0
-            val -= contrib[p] * sizes[p]
-    return tuple(out)
+    return tuple(_offsets([cat.size(name) for name in big.names],
+                          [sub_strides.get(name, 0) for name in big.names]))

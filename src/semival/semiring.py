@@ -12,6 +12,9 @@ elements and three capability flags:
 
 Flags are declared, then validated by :func:`check_semiring_axioms`;
 capability gating elsewhere reads the flags, never runtime probes.
+A ``member`` predicate describes the carrier; :meth:`Semiring.parse`
+applies it, so a table value outside the carrier (``-1`` or ``nan`` in
+an arithmetic table, say) is rejected before anything is computed.
 
 The minus-infinity used as the tropical null is IEEE ``-inf``: ``max``
 and ``+`` treat it as an exact annihilator, so no large-negative-float
@@ -20,10 +23,12 @@ approximation is ever involved.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import add, mul
 from typing import Callable
 
 from .compare import DEFAULT_COMPARATOR, Comparator
@@ -57,18 +62,22 @@ class Semiring:
     idempotent_mul: bool
     eq: Callable
     sample: Callable  # random.Random -> carrier element
+    member: Callable  # value -> bool: is it in the carrier?
 
     def parse(self, text: str):
-        if text == "-inf":
-            return NEG_INF
+        """Read one table value; text outside the carrier raises DomainError."""
         try:
-            return int(text)
+            v = int(text)
         except ValueError:
-            pass
-        try:
-            return float(text)
-        except ValueError:
-            raise DomainError(f"cannot parse {text!r} as a {self.name} value") from None
+            try:
+                v = float(text)  # "-inf" reads as IEEE -inf
+            except ValueError:
+                raise DomainError(
+                    f"cannot parse {text!r} as a {self.name} value") from None
+        if not self.member(v):
+            raise DomainError(
+                f"{text!r} is not in the {self.name} carrier ({self.carrier})")
+        return v
 
     def fmt(self, v) -> str:
         return format_value(v)
@@ -117,6 +126,10 @@ def _sample_unit_interval(rng: random.Random) -> float:
     return rng.random()
 
 
+def _in_unit_interval(v) -> bool:
+    return 0 <= v <= 1  # False for nan
+
+
 def builtin_instances(comparator: Comparator = DEFAULT_COMPARATOR) -> dict[str, Semiring]:
     """The stock instances, keyed by their model-file identifiers."""
     cmp_eq = comparator.eq
@@ -133,12 +146,13 @@ def builtin_instances(comparator: Comparator = DEFAULT_COMPARATOR) -> dict[str, 
             idempotent_mul=True,
             eq=lambda a, b: a == b,
             sample=_sample_boolean,
+            member=lambda v: v in (0, 1),
         ),
         "arithmetic": Semiring(
             name="arithmetic",
             carrier="nonnegative reals with ordinary + and *",
-            add=lambda a, b: a + b,
-            mul=lambda a, b: a * b,
+            add=add,
+            mul=mul,
             zero=0.0,
             one=1.0,
             idempotent_add=False,
@@ -146,12 +160,13 @@ def builtin_instances(comparator: Comparator = DEFAULT_COMPARATOR) -> dict[str, 
             idempotent_mul=False,
             eq=cmp_eq,
             sample=_sample_arithmetic,
+            member=lambda v: math.isfinite(v) and v >= 0,
         ),
         "tropical": Semiring(
             name="tropical",
             carrier="reals with -inf, max as + and ordinary + as *",
             add=max,
-            mul=lambda a, b: a + b,
+            mul=add,
             zero=NEG_INF,
             one=0,
             idempotent_add=True,
@@ -159,6 +174,7 @@ def builtin_instances(comparator: Comparator = DEFAULT_COMPARATOR) -> dict[str, 
             idempotent_mul=False,
             eq=cmp_eq,
             sample=_sample_tropical,
+            member=lambda v: math.isfinite(v) or v == NEG_INF,
         ),
         "bottleneck": Semiring(
             name="bottleneck",
@@ -172,12 +188,13 @@ def builtin_instances(comparator: Comparator = DEFAULT_COMPARATOR) -> dict[str, 
             idempotent_mul=True,
             eq=cmp_eq,
             sample=_sample_unit_interval,
+            member=_in_unit_interval,
         ),
         "fuzzy-product": Semiring(
             name="fuzzy-product",
             carrier="[0, 1] with max as + and the product t-norm as *",
             add=max,
-            mul=lambda a, b: a * b,
+            mul=mul,
             zero=0.0,
             one=1.0,
             idempotent_add=True,
@@ -185,6 +202,7 @@ def builtin_instances(comparator: Comparator = DEFAULT_COMPARATOR) -> dict[str, 
             idempotent_mul=False,
             eq=cmp_eq,
             sample=_sample_unit_interval,
+            member=_in_unit_interval,
         ),
     }
 
@@ -205,6 +223,7 @@ def chain_instance(k: int) -> Semiring:
         idempotent_mul=True,
         eq=lambda a, b: a == b,
         sample=lambda rng: rng.randint(0, k - 1),
+        member=lambda v: v in range(k),
     )
 
 

@@ -24,7 +24,8 @@ valuations:
 
 The form is selected automatically from the semiring flags.  Collect
 computes the combined information at a chosen root; distribute reuses
-the cached inward messages to produce every node's result.  Hypertree
+the cached inward messages and builds only the outward messages on the
+paths from the root to the requested nodes.  Hypertree
 elimination is the sequential variant; its backward pass needs a fully
 idempotent algebra and refuses to run otherwise.
 
@@ -530,9 +531,12 @@ def collect(tree: LabeledTree, factors: Sequence, root: int, ops):
     return result, store
 
 
-def distribute(tree: LabeledTree, factors: Sequence, store: MessageStore, ops):
-    """Outward pass; returns every node's local result.
+def distribute(tree: LabeledTree, factors: Sequence, store: MessageStore, ops,
+               nodes: Sequence[int] | None = None):
+    """Outward pass; returns the local results of ``nodes`` (default: all).
 
+    Only the outward messages on the paths from the root to ``nodes`` are
+    built; they are added to the store, so a later call reuses them.
     Requires the message cache produced by :func:`collect` from the same
     root.
     """
@@ -541,8 +545,17 @@ def distribute(tree: LabeledTree, factors: Sequence, store: MessageStore, ops):
     for v in order:
         if v != store.root and (v, parent[v]) not in store.messages:
             raise DomainError("message cache incomplete; run collect first")
+    if nodes is None:
+        nodes = range(len(tree))
+    on_path = set()
+    for v in nodes:
+        if not 0 <= v < len(tree):
+            raise DomainError(f"node {v} out of range")
+        while v not in on_path and v != store.root:
+            on_path.add(v)
+            v = parent[v]
     for v in order:
-        if v == store.root or (parent[v], v) in store.messages:
+        if v not in on_path or (parent[v], v) in store.messages:
             continue
         p = parent[v]
         acc = node_factors[p]
@@ -551,7 +564,7 @@ def distribute(tree: LabeledTree, factors: Sequence, store: MessageStore, ops):
                 acc = ops.combine(acc, store.messages[(u, p)])
         store.messages[(p, v)] = ops.message(acc, tree.labels[v])
     results = []
-    for v in range(len(tree)):
+    for v in nodes:
         acc = node_factors[v]
         for u in tree.neighbors[v]:
             acc = ops.combine(acc, store.messages[(u, v)])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import repeat
 from typing import Sequence
 
 from . import domains as dm
@@ -89,16 +90,15 @@ def combine(a: Valuation, b: Valuation,
     cat = a.catalog
     u = a.domain | b.domain
     cat.config_count(u, cap=cap)
-    if u == a.domain and u == b.domain:
-        mul = a.semiring.mul
-        table = tuple(mul(x, y) for x, y in zip(a.table, b.table))
-        return Valuation(cat, a.semiring, u, table)
-    ra = dm.restriction_index_map(cat, u, a.domain)
-    rb = dm.restriction_index_map(cat, u, b.domain)
-    mul = a.semiring.mul
-    ta, tb = a.table, b.table
-    table = tuple(mul(ta[i], tb[j]) for i, j in zip(ra, rb))
+    table = tuple(map(a.semiring.mul, _gather(a, u), _gather(b, u)))
     return Valuation(cat, a.semiring, u, table)
+
+
+def _gather(a: Valuation, t: Domain):
+    """``a``'s values in ``t``'s configuration order (``d(a) <= t``)."""
+    if a.domain == t:
+        return a.table
+    return map(a.table.__getitem__, dm.restriction_index_map(a.catalog, t, a.domain))
 
 
 def combine_all(factors: Sequence[Valuation], cat: VariableCatalog, sr: Semiring,
@@ -110,18 +110,26 @@ def combine_all(factors: Sequence[Valuation], cat: VariableCatalog, sr: Semiring
 
 
 def project(a: Valuation, t: Domain) -> Valuation:
-    """Sum out the variables of ``d(a) - t``."""
+    """Sum out the variables of ``d(a) - t``.
+
+    Each output cell is a left fold of its source cells in increasing
+    source-index order -- a plain sequential sum, never a pairwise or
+    compensated one -- so results keep their exact bits.
+    """
     if not t <= a.domain:
         raise DomainError(f"cannot project {a.domain} to non-subset {t}")
     if t == a.domain:
         return a
     cat = a.catalog
-    rmap = dm.restriction_index_map(cat, a.domain, t)
-    add = a.semiring.add
-    out: list = [None] * cat.config_count(t, cap=None)
-    for i, v in zip(rmap, a.table):
-        out[i] = v if out[i] is None else add(out[i], v)
-    return Valuation(cat, a.semiring, t, tuple(out))
+    stride = dict(zip(a.domain.names, dm.strides(cat, a.domain)))
+    # kept variables outer, dropped inner: each block of the gathered
+    # cells is one output cell
+    order = list(t.names) + [n for n in a.domain.names if n not in t]
+    grouped = map(a.table.__getitem__, dm._offsets(
+        [cat.size(n) for n in order], [stride[n] for n in order]))
+    block = len(a.table) // cat.config_count(t, cap=None)
+    table = tuple(map(reduce, repeat(a.semiring.add), zip(*[grouped] * block)))
+    return Valuation(cat, a.semiring, t, table)
 
 
 def vacuous_extend(a: Valuation, t: Domain,
@@ -131,11 +139,8 @@ def vacuous_extend(a: Valuation, t: Domain,
         raise DomainError(f"cannot extend {a.domain} to non-superset {t}")
     if t == a.domain:
         return a
-    cat = a.catalog
-    cat.config_count(t, cap=cap)
-    rmap = dm.restriction_index_map(cat, t, a.domain)
-    ta = a.table
-    return Valuation(cat, a.semiring, t, tuple(ta[i] for i in rmap))
+    a.catalog.config_count(t, cap=cap)
+    return Valuation(a.catalog, a.semiring, t, tuple(_gather(a, t)))
 
 
 def transport(a: Valuation, t: Domain,

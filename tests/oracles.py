@@ -82,3 +82,56 @@ def pairwise_join_tree(tree):
                 if not shared <= set(tree.labels[w].names):
                     return False
     return True
+
+
+# --- per-cell reference kernels ----------------------------------------------
+# The dense-table kernels as first written: an odometer sweep builds each
+# restriction map and every cell is combined or summed by one Python step.
+# The package's C-level kernels must give the same tables, value for value
+# and type for type.
+
+def _strides(cat, d):
+    out = [1] * len(d)
+    for i in range(len(d) - 2, -1, -1):
+        out[i] = out[i + 1] * cat.size(d.names[i + 1])
+    return out
+
+
+def odometer_index_map(cat, big, sub):
+    n = cat.config_count(big, cap=None)
+    sizes = [cat.size(name) for name in big.names]
+    sub_strides = dict(zip(sub.names, _strides(cat, sub)))
+    contrib = [sub_strides.get(name, 0) for name in big.names]
+    out = [0] * n
+    digits = [0] * len(big)
+    val = 0
+    for i in range(n):
+        out[i] = val
+        for p in range(len(big) - 1, -1, -1):
+            digits[p] += 1
+            val += contrib[p]
+            if digits[p] < sizes[p]:
+                break
+            digits[p] = 0
+            val -= contrib[p] * sizes[p]
+    return tuple(out)
+
+
+def cellwise_combine(a, b):
+    u = a.domain | b.domain
+    ra = odometer_index_map(a.catalog, u, a.domain)
+    rb = odometer_index_map(a.catalog, u, b.domain)
+    mul = a.semiring.mul
+    return u, tuple(mul(a.table[i], b.table[j]) for i, j in zip(ra, rb))
+
+
+def cellwise_project(a, t):
+    add = a.semiring.add
+    out = [None] * a.catalog.config_count(t, cap=None)
+    for i, v in zip(odometer_index_map(a.catalog, a.domain, t), a.table):
+        out[i] = v if out[i] is None else add(out[i], v)
+    return tuple(out)
+
+
+def cellwise_extend(a, t):
+    return tuple(a.table[i] for i in odometer_index_map(a.catalog, t, a.domain))

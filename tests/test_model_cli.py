@@ -153,6 +153,41 @@ def test_bad_integer_index_is_a_parse_error(stanza, line):
     assert code == 2 and out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("semiring, value", [
+    ("arithmetic", "-1"), ("arithmetic", "inf"), ("arithmetic", "nan"),
+    ("arithmetic", "-inf"),
+    ("boolean", "nan"), ("boolean", "2"), ("boolean", "0.5"),
+    ("tropical", "inf"), ("tropical", "nan"),
+    ("bottleneck", "1.5"), ("bottleneck", "-0.1"), ("bottleneck", "nan"),
+    ("fuzzy-product", "2"), ("fuzzy-product", "-inf"),
+    ("chain(3)", "3"), ("chain(3)", "-1"), ("chain(3)", "1.5"),
+])
+def test_out_of_carrier_table_value_is_a_parse_error(semiring, value):
+    text = (
+        f"catalog\n  var x : 0 1\nend\nsemiring {semiring}\n"
+        f"factor f on x\n  table 0 {value}\nend\nquery x\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert "line 6" in str(exc.value) and "carrier" in str(exc.value)
+    code, out, err = _run_stdin(["solve", "-"], text)
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("semiring, values", [
+    ("arithmetic", "0 1e300"), ("boolean", "0 1"), ("tropical", "-inf -7.5"),
+    ("bottleneck", "0 1"), ("fuzzy-product", "0.0 1.0"), ("chain(3)", "0 2"),
+])
+def test_carrier_boundary_values_parse(semiring, values):
+    text = (
+        f"catalog\n  var x : 0 1\nend\nsemiring {semiring}\n"
+        f"factor f on x\n  table {values}\nend\n"
+    )
+    sr = sv.get_instance(semiring)
+    assert parse_model(text).factors[0][1].table == \
+        tuple(sr.parse(tok) for tok in values.split())
+
+
 def test_table_length_validation():
     text = (
         "catalog\n  var x : 0 1\nend\nsemiring boolean\n"

@@ -353,6 +353,41 @@ def test_distribute_requires_cache():
         sv.distribute(tree, [f1, f2], store, ops)
 
 
+def test_distribute_to_one_node_builds_only_its_path():
+    """``nodes=[v]`` answers bitwise like the full pass and stores only the
+    inward messages plus the outward ones on the root-to-``v`` path."""
+    rng = random.Random(12)
+    checked = 0
+    while checked < 150:
+        shape = ("chain", "star", "random")[checked % 3]
+        shaped = _random_labeled_tree(rng, rng.randint(1, 25), shape)
+        if not sv.is_join_tree(shaped):
+            continue
+        names = sorted(set().union(*(label.names for label in shaped.labels)))
+        cat = sv.VariableCatalog.of({n: "abc"[:rng.randint(1, 3)] for n in names})
+        tree = sv.LabeledTree(shaped.labels, shaped.edges, tuple(range(len(shaped))))
+        sr = sv.get_instance(("arithmetic", "boolean", "tropical")[checked % 3])
+        ops = tc.ValuationOps(cat, sr)
+        factors = [helpers.random_valuation(rng, cat, sr, label) for label in tree.labels]
+        root, v = rng.randrange(len(tree)), rng.randrange(len(tree))
+
+        _, full = sv.collect(tree, factors, root, ops)
+        want = sv.distribute(tree, factors, full, ops)[v]
+        _, store = sv.collect(tree, factors, root, ops)
+        [got] = sv.distribute(tree, factors, store, ops, nodes=[v])
+        assert got.domain == want.domain and got.table == want.table
+        assert list(map(type, got.table)) == list(map(type, want.table))
+
+        _, parent = tree.rooted_order(root)
+        inward = {(w, parent[w]) for w in range(len(tree)) if w != root}
+        path, w = set(), v
+        while w != root:
+            path.add((parent[w], w))
+            w = parent[w]
+        assert set(store.messages) == inward | path
+        checked += 1
+
+
 def test_local_equals_global_randomized():
     rng = random.Random(5)
     for name in ("boolean", "arithmetic", "tropical", "bottleneck"):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import semival as sv
+from semival.domains import restriction_index_map
 from semival.errors import CapabilityError, DomainError, MassError, MismatchError
 
 import helpers
@@ -275,3 +276,49 @@ def test_extension_retracts_for_idempotent_addition():
             a = helpers.random_valuation(rng, cat, sr, helpers.random_domain(rng, cat))
             t = a.domain | helpers.random_domain(rng, cat)
             assert sv.valuations_equal(sv.project(sv.vacuous_extend(a, t), a.domain), a)
+
+
+KERNEL_SEMIRINGS = ("boolean", "arithmetic", "tropical", "bottleneck",
+                    "fuzzy-product", "chain(3)")
+
+
+def _kernel_table(rng, sr, n):
+    if sr.name == "arithmetic":
+        r = rng.random()
+        if r < 0.3:
+            return tuple(rng.randint(0, 4) for _ in range(n))  # integer cells stay int
+        if r < 0.7:
+            # mixed magnitudes: a sum's last bits depend on the fold order
+            return tuple(rng.choice((1e16, 1.0, 0.1)) * rng.uniform(1, 2) for _ in range(n))
+    if sr.name == "tropical" and rng.random() < 0.5:
+        return tuple(sr.sample(rng) for _ in range(n))  # reals and -inf
+    return helpers.random_table(rng, sr, n)
+
+
+def _same(got, want) -> bool:
+    """Equal with ``==`` and, cell for cell, of the same type."""
+    return got == want and list(map(type, got)) == list(map(type, want))
+
+
+def test_dense_kernels_match_cellwise_reference():
+    """combine/project/vacuous_extend and the index map against the per-cell
+    reference kernels, on names where string and numeric order differ."""
+    rng = random.Random(2024)
+    pool = [f"v{i}" for i in range(12)]  # "v10" < "v2"
+    for case in range(600):
+        sr = sv.get_instance(KERNEL_SEMIRINGS[case % len(KERNEL_SEMIRINGS)])
+        names = rng.sample(pool, rng.randint(2, 6))
+        cat = sv.VariableCatalog.of({n: "abc"[:rng.randint(1, 3)] for n in names})
+        s, t = helpers.random_domain(rng, cat, 6), helpers.random_domain(rng, cat, 4)
+        a = sv.Valuation(cat, sr, s, _kernel_table(rng, sr, cat.config_count(s)))
+        b = sv.Valuation(cat, sr, t, _kernel_table(rng, sr, cat.config_count(t)))
+
+        u, want = oracles.cellwise_combine(a, b)
+        got = sv.combine(a, b)
+        assert got.domain == u and _same(got.table, want), case
+        assert restriction_index_map(cat, u, t) == oracles.odometer_index_map(cat, u, t)
+        assert _same(sv.vacuous_extend(a, u).table, oracles.cellwise_extend(a, u)), case
+        kept = sv.Domain(tuple(rng.sample(s.names, rng.randint(0, len(s)))))
+        assert _same(sv.project(a, kept).table, oracles.cellwise_project(a, kept)), case
+        empty = sv.project(a, sv.Domain())
+        assert _same(empty.table, oracles.cellwise_project(a, sv.Domain())), case
