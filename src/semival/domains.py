@@ -122,14 +122,6 @@ class VariableCatalog:
     def of(cls, spec: Mapping[str, Iterable[str]]) -> "VariableCatalog":
         return cls(tuple(Variable(n, tuple(f)) for n, f in spec.items()))
 
-    def __hash__(self) -> int:
-        # catalogs key the index-map cache; hash every variable only once
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.variables)
-
     @cached_property
     def _by_name(self) -> dict[str, Variable]:
         return {v.name: v for v in self.variables}
@@ -268,7 +260,8 @@ def _offsets(sizes, contribs) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=256)
+# stores nothing; kept as a wrapper because perfbench/tracer.py reads cache_info()
+@lru_cache(maxsize=0)
 def restriction_index_map(
     cat: VariableCatalog, big: Domain, sub: Domain
 ) -> tuple[int, ...]:

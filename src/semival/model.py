@@ -167,6 +167,8 @@ class _Parser:
                 raise ParseError("expected 'var NAME : VALUE...'", no)
             if t[1] in spec:
                 raise ParseError(f"duplicate variable {t[1]!r}", no)
+            if len(set(t[3:])) != len(t) - 3:
+                raise ParseError(f"variable {t[1]!r} has duplicate frame values", no)
             spec[t[1]] = tuple(t[3:])
         self.catalog = VariableCatalog.of(spec)
         self.model = Model(catalog=self.catalog)

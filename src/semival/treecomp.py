@@ -35,6 +35,7 @@ that every local scheme is tested against.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -261,8 +262,12 @@ def build_covering_join_tree(
     Produces a join tree whose labels cover every factor domain (and
     every extra ``cover`` domain); elimination picks the min-degree or
     min-fill variable with ties broken by the global name order, so the
-    result is deterministic.  The ``seed`` is accepted for interface
-    stability and recorded nowhere: no random choice remains.
+    result is deterministic.  The costs sit in a ``(cost, name)`` heap;
+    eliminating a variable can change only the costs of the variables
+    within two steps of it, so only those are rescored, and the picks
+    and ties are those of a full rescan at every step.  The ``seed`` is
+    accepted for interface stability and recorded nowhere: no random
+    choice remains.
     """
     if heuristic not in ("min-degree", "min-fill"):
         raise DomainError(f"unknown heuristic {heuristic!r}")
@@ -279,32 +284,43 @@ def build_covering_join_tree(
             adj[a].add(b)
             adj[b].add(a)
 
-    def fill_cost(v: str) -> int:
-        ns = sorted(adj[v])
+    def cost(v: str) -> int:
+        if heuristic == "min-degree":
+            return len(adj[v])
         return sum(
             1
-            for a, b in itertools.combinations(ns, 2)
+            for a, b in itertools.combinations(adj[v], 2)
             if b not in adj[a]
         )
 
+    current = {v: cost(v) for v in variables}
+    heap = [(c, v) for v, c in current.items()]
+    heapq.heapify(heap)
     order: list[str] = []
     clusters: list[Domain] = []
-    remaining = set(variables)
-    while remaining:
-        if heuristic == "min-degree":
-            pick = min(remaining, key=lambda v: (len(adj[v]), v))
-        else:
-            pick = min(remaining, key=lambda v: (fill_cost(v), v))
+    while heap:
+        c, pick = heapq.heappop(heap)
+        if current.get(pick) != c:
+            continue  # stale: eliminated, or rescored since this push
+        del current[pick]
         cluster = Domain(tuple(adj[pick]) + (pick,))
         order.append(pick)
         clusters.append(cluster)
+        # a degree changes only next to the pick; a fill cost also changes
+        # when a fill edge joins two of a variable's neighbours
+        near = adj[pick].union(*(adj[u] for u in adj[pick]))
+        near.discard(pick)
         for a, b in itertools.combinations(sorted(adj[pick]), 2):
             adj[a].add(b)
             adj[b].add(a)
         for u in adj[pick]:
             adj[u].discard(pick)
         del adj[pick]
-        remaining.discard(pick)
+        for v in near:
+            c = cost(v)
+            if c != current[v]:
+                current[v] = c
+                heapq.heappush(heap, (c, v))
 
     elim_step = {v: i for i, v in enumerate(order)}
     m = len(clusters)

@@ -7,7 +7,8 @@ so they can referee the dense-table implementations.
 
 import itertools
 
-from semival.domains import Domain
+from semival import treecomp
+from semival.domains import EMPTY_DOMAIN, Domain
 
 
 def configs_of(cat, domain):
@@ -82,6 +83,52 @@ def pairwise_join_tree(tree):
                 if not shared <= set(tree.labels[w].names):
                     return False
     return True
+
+
+def rescan_covering_join_tree(factor_domains, heuristic="min-fill", cover=()):
+    """The covering-join-tree builder as first written: every elimination
+    step rescores every remaining variable and takes the ``(cost, name)``
+    minimum.  The package's incremental builder must give the same tree."""
+    cliques = [set(d.names) for d in factor_domains] + [set(d.names) for d in cover]
+    variables = sorted(set().union(*cliques)) if cliques else []
+    if not variables:
+        return treecomp.LabeledTree((EMPTY_DOMAIN,), (), tuple(0 for _ in factor_domains))
+
+    adj = {v: set() for v in variables}
+    for clique in cliques:
+        for a, b in itertools.combinations(sorted(clique), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+
+    def fill_cost(v):
+        return sum(1 for a, b in itertools.combinations(sorted(adj[v]), 2)
+                   if b not in adj[a])
+
+    order, clusters = [], []
+    remaining = set(variables)
+    while remaining:
+        if heuristic == "min-degree":
+            pick = min(remaining, key=lambda v: (len(adj[v]), v))
+        else:
+            pick = min(remaining, key=lambda v: (fill_cost(v), v))
+        order.append(pick)
+        clusters.append(Domain(tuple(adj[pick]) + (pick,)))
+        for a, b in itertools.combinations(sorted(adj[pick]), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+        for u in adj[pick]:
+            adj[u].discard(pick)
+        del adj[pick]
+        remaining.discard(pick)
+
+    elim_step = {v: i for i, v in enumerate(order)}
+    edges = []
+    for i in range(len(clusters) - 1):
+        later = [elim_step[v] for v in clusters[i].names if elim_step[v] > i]
+        edges.append((i, min(later) if later else i + 1))
+    assignment = [min(elim_step[v] for v in d.names) if d else 0
+                  for d in factor_domains]
+    return treecomp._absorb_subsumed(clusters, edges, assignment)
 
 
 # --- per-cell reference kernels ----------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -153,6 +154,15 @@ def test_bad_integer_index_is_a_parse_error(stanza, line):
     assert code == 2 and out == "" and "Traceback" not in err
 
 
+def test_duplicate_frame_values_are_a_parse_error():
+    text = "catalog\n  var x : 0 1\n  var y : 0 0\nend\n"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert "line 3" in str(exc.value) and "duplicate frame values" in str(exc.value)
+    code, out, err = _run_stdin(["render", "-"], text)
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 @pytest.mark.parametrize("semiring, value", [
     ("arithmetic", "-1"), ("arithmetic", "inf"), ("arithmetic", "nan"),
     ("arithmetic", "-inf"),
@@ -217,6 +227,52 @@ def test_render_round_trip(path):
     assert [(t.name, t.labels, t.edges, t.assigned) for t in again.trees] == \
         [(t.name, t.labels, t.edges, t.assigned) for t in model.trees]
     assert again.sequences == model.sequences
+
+
+FUZZ_TOKENS = ("end", ":", "->", "on", "of", "(", ")", "{", "}", "#", "0", "1", "2",
+               "-1", "0.5", "nan", "inf", "-inf", "x", "var", "node", "edge",
+               "assign", "step", "table", "focal", "kind", "bpa", "(a)", "{1", "3}")
+
+
+def _mutate(rng, lines):
+    """One or two token edits, or a line duplicated or dropped."""
+    lines = [line.split() for line in lines]
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(lines))
+        toks = lines[i]
+        op = rng.randrange(6)
+        if op == 0 and toks:
+            toks[rng.randrange(len(toks))] = rng.choice(FUZZ_TOKENS)
+        elif op == 1 and toks:
+            other = rng.choice([t for line in lines for t in line])
+            toks[rng.randrange(len(toks))] = other
+        elif op == 2 and toks:
+            del toks[rng.randrange(len(toks))]
+        elif op == 3:
+            toks.insert(rng.randint(0, len(toks)), rng.choice(FUZZ_TOKENS))
+        elif op == 4:
+            lines.insert(i, list(toks))
+        elif len(lines) > 1:
+            del lines[i]
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+def test_mutated_models_parse_or_raise_parse_error():
+    """Every token-level mutation of a fixture model either raises
+    ``ParseError`` or parses to a model whose rendering is a fixed point."""
+    rng = random.Random(7)
+    fixtures = [path.read_text().splitlines() for path in sorted(MODELS.glob("*.sv"))]
+    parsed = 0
+    for _ in range(3000):
+        text = _mutate(rng, rng.choice(fixtures))
+        try:
+            model = parse_model(text)
+        except ParseError:
+            continue
+        parsed += 1
+        canon = render_model(model)
+        assert render_model(parse_model(canon)) == canon, text
+    assert parsed > 300
 
 
 def test_render_command_round_trips():

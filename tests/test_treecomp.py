@@ -273,6 +273,45 @@ def test_build_covering_deterministic():
     assert t1 == t2
 
 
+def _random_hypergraph(rng, shape):
+    """Factor and cover domains over ``v0``..``v{n-1}`` (``v10`` < ``v2``)."""
+    names = [f"v{i}" for i in range(rng.randint(1, 30))]
+    rng.shuffle(names)
+    if shape == "components":
+        cut = sorted(rng.sample(range(1, len(names) + 1), min(3, len(names))))
+        groups = [names[a:b] for a, b in zip([0] + cut, cut) if a < b]
+    else:
+        groups = [names]
+    doms = []
+    for group in groups:
+        if shape == "ring":  # every variable has the same degree and fill cost
+            doms += [D(group[i - 1], group[i]) for i in range(len(group))]
+        elif shape == "cliques":
+            for _ in range(rng.randint(1, 4)):
+                doms.append(D(*rng.sample(group, rng.randint(1, min(8, len(group))))))
+        for _ in range(rng.randint(1, len(group) + 1)):
+            doms.append(D(*rng.sample(group, rng.randint(1, min(3, len(group))))))
+    doms += [D() for _ in range(rng.randint(0, 2))]
+    rng.shuffle(doms)
+    cover = [D(*rng.sample(names, rng.randint(0, min(4, len(names)))))
+             for _ in range(rng.randint(0, 2))]
+    return doms, cover
+
+
+def test_incremental_elimination_matches_full_rescan():
+    """Rescoring only the variables near each pick gives the same tree as
+    rescoring every remaining variable at every step."""
+    rng = random.Random(5)
+    for k in range(1200):
+        shape = ("random", "components", "cliques", "ring")[k % 4]
+        doms, cover = _random_hypergraph(rng, shape)
+        for heuristic in ("min-degree", "min-fill"):
+            got = sv.build_covering_join_tree(doms, heuristic=heuristic, cover=cover)
+            want = oracles.rescan_covering_join_tree(doms, heuristic, cover)
+            assert (got.labels, got.edges, got.assignment) == \
+                (want.labels, want.edges, want.assignment), (doms, cover, heuristic)
+
+
 @pytest.fixture
 def arithmetic_chain():
     cat = sv.VariableCatalog.of({"x": ("0", "1"), "y": ("0", "1")})
