@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 
@@ -62,7 +63,7 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
         lines.insert(0, f"semiring: {sr.name}")
 
         def answer_lines(q: Domain, answer) -> list[str]:
-            body = " ".join(sr.fmt(x) for x in answer.table)
+            body = " ".join(sr.fmt(x) for x in answer.values)
             return [f"result {_fmt_domain(q)}: {body}"]
 
         covered = tc.join_of([f.domain for f in factors])
@@ -171,13 +172,14 @@ def cmd_check(model: Model, args, comparator: Comparator) -> tuple[list[str], in
     return lines, 0 if ok else 1
 
 
-def _combined_potential(model: Model, comparator: Comparator) -> bf.SetPotential:
+def _combined_potential(model: Model, comparator: Comparator,
+                        cap: int) -> bf.SetPotential:
     pots = [p for _, p in model.potentials]
     if not pots:
         raise ParseError("model has no potential stanzas")
     acc = pots[0]
     for p in pots[1:]:
-        acc = bf.dempster_combine(acc, p, comparator=comparator)
+        acc = bf.dempster_combine(acc, p, comparator=comparator, cap=cap)
     return acc
 
 
@@ -185,7 +187,7 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
     op = args.op
     lines: list[str] = []
     if op == "combine":
-        combined = _combined_potential(model, comparator)
+        combined = _combined_potential(model, comparator, args.cap)
         names = " * ".join(n for n, _ in model.potentials)
         lines.append(f"combined: {names}")
         conflict = combined.conflict if combined.conflict is not None else 0.0
@@ -194,7 +196,7 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
     elif op in ("support", "plausibility"):
         if not model.hypotheses:
             raise ParseError("model has no hypothesis stanzas")
-        combined = _combined_potential(model, comparator)
+        combined = _combined_potential(model, comparator, args.cap)
         for name, h in model.hypotheses:
             pot = combined
             if h.domain != combined.domain:
@@ -284,27 +286,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _comparator(text: str) -> Comparator:
+    """``REL,ABS``: two finite, nonnegative tolerances."""
+    try:
+        rel, abs_ = map(float, text.split(","))
+    except ValueError:
+        raise ParseError(f"bad --tolerance {text!r}") from None
+    if not all(math.isfinite(x) and x >= 0 for x in (rel, abs_)):
+        raise ParseError(f"bad --tolerance {text!r}: parts must be finite and >= 0")
+    return Comparator(rel=rel, abs=abs_)
+
+
+def _read_model(path: str) -> str:
+    """The model text of a file, or of standard input for ``-``; UTF-8 only."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+            text.encode("utf-8")  # undecodable stdin bytes arrive as lone surrogates
+            return text
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(str(exc)) from None
+    except UnicodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (position {exc.start})") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         comparator = DEFAULT_COMPARATOR
         if args.tolerance:
-            try:
-                rel_text, abs_text = args.tolerance.split(",")
-                comparator = Comparator(rel=float(rel_text), abs=float(abs_text))
-            except ValueError:
-                raise ParseError(f"bad --tolerance {args.tolerance!r}") from None
+            comparator = _comparator(args.tolerance)
         if args.cap is None:
             args.cap = 2**24
-        if args.model == "-":
-            text = sys.stdin.read()
-        else:
-            try:
-                with open(args.model, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ParseError(str(exc)) from None
+        text = _read_model(args.model)
         model = parse_model(text, comparator)
         if args.command == "solve":
             lines, code = cmd_solve(model, args, comparator)

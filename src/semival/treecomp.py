@@ -450,7 +450,7 @@ class ValuationOps:
 
     def deviation(self, a, b) -> float:
         dev = 0.0
-        for x, y in zip(a.table, b.table):
+        for x, y in zip(a.values, b.values):
             if not self.semiring.eq(x, y):
                 dev = max(dev, abs(float(x) - float(y)))
         return dev

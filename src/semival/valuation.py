@@ -8,12 +8,23 @@ available exactly when the semiring has idempotent addition -- for other
 semirings transport would silently break the algebra, so it raises
 :class:`CapabilityError` instead.
 
+A table of at least :data:`ARRAY_MIN_CELLS` cells whose cells are all
+floats is stored as a read-only, flat, row-major ``float64`` numpy array,
+when the semiring's ``add`` and ``mul`` are among ``operator.add``,
+``operator.mul``, ``max`` and ``min``; every other table is a tuple.
+numpy is imported on the first table that reaches the threshold.  Both
+forms compute the same cells, bit for bit: projection folds each output
+cell left to right in increasing source-index order either way, and the
+array ``max``/``min`` keep the first of two equal values, as Python's
+do (which matters for ``0.0`` and ``-0.0``).
+
 Valuations are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
@@ -28,8 +39,62 @@ from .semiring import Semiring
 import random
 
 
+#: Smallest table stored as a numpy array (see the module docstring).
+#: Importing numpy costs about 115 ms, which a job with tables of 3^9
+#: cells does not win back and one with tables of 3^10 and 3^11 cells
+#: does, several times over (measurements in CHANGES.md).
+ARRAY_MIN_CELLS = 3**10
+
+_np = None  # numpy, once the first table reaches ARRAY_MIN_CELLS
+
+# sr.add / sr.mul -> its numpy counterpart; any other operation keeps tuples
+_ARRAY_OPS = ((operator.add, "add"), (operator.mul, "multiply"),
+              (max, "maximum"), (min, "minimum"))
+
+
+def _array_op(fn) -> str | None:
+    return next((name for op, name in _ARRAY_OPS if op is fn), None)
+
+
+def _array_semiring(sr: Semiring) -> bool:
+    return _array_op(sr.add) is not None and _array_op(sr.mul) is not None
+
+
+def _numpy():
+    global _np
+    if _np is None:
+        import numpy
+        _np = numpy
+    return _np
+
+
+def _is_array(table) -> bool:
+    return _np is not None and isinstance(table, _np.ndarray)
+
+
+def _frozen(x):
+    x.flags.writeable = False
+    return x
+
+
+def _float_array(table):
+    """``table`` as a float64 array, or None when a cell is not a float."""
+    if _is_array(table):
+        return table
+    if set(map(type, table)) != {float}:
+        return None
+    return _numpy().array(table, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class Valuation:
+    """A semiring value per configuration of ``domain``, in row-major order.
+
+    ``table`` is a tuple, or a read-only float64 array for a large
+    all-float table (see the module docstring); :attr:`values` gives the
+    cells as Python scalars either way.
+    """
+
     catalog: VariableCatalog
     semiring: Semiring
     domain: Domain
@@ -42,14 +107,19 @@ class Valuation:
                 f"table has {len(self.table)} entries, domain {self.domain} "
                 f"needs {expected}"
             )
+        if (expected >= ARRAY_MIN_CELLS and type(self.table) is tuple
+                and _array_semiring(self.semiring)):
+            array = _float_array(self.table)
+            if array is not None:
+                object.__setattr__(self, "table", _frozen(array))
 
     def __mul__(self, other: "Valuation") -> "Valuation":
         return combine(self, other)
 
-    def value_at(self, config: dm.Configuration):
-        if config.domain != self.domain:
-            raise DomainError(f"configuration domain {config.domain} != {self.domain}")
-        return self.table[dm.config_index(self.catalog, config)]
+    @property
+    def values(self) -> Sequence:
+        """The cells as Python ``int``/``float`` values, in table order."""
+        return self.table.tolist() if _is_array(self.table) else self.table
 
 
 def _check_operands(a: Valuation, b: Valuation):
@@ -66,39 +136,83 @@ def valuations_equal(a: Valuation, b: Valuation) -> bool:
     if a.domain != b.domain:
         return False
     eq = a.semiring.eq
-    return all(eq(x, y) for x, y in zip(a.table, b.table))
+    return all(eq(x, y) for x, y in zip(a.values, b.values))
+
+
+def _constant(cat: VariableCatalog, sr: Semiring, d: Domain, value,
+              cap: int | None) -> Valuation:
+    n = cat.config_count(cat.check_domain(d), cap=cap)
+    if n >= ARRAY_MIN_CELLS and type(value) is float and _array_semiring(sr):
+        return Valuation(cat, sr, d, _frozen(_numpy().full(n, value)))
+    return Valuation(cat, sr, d, (value,) * n)
 
 
 def unit(cat: VariableCatalog, sr: Semiring, d: Domain,
          cap: int | None = dm.DEFAULT_CONFIG_CAP) -> Valuation:
-    n = cat.config_count(cat.check_domain(d), cap=cap)
-    return Valuation(cat, sr, d, (sr.one,) * n)
+    return _constant(cat, sr, d, sr.one, cap)
 
 
 def null(cat: VariableCatalog, sr: Semiring, d: Domain,
          cap: int | None = dm.DEFAULT_CONFIG_CAP) -> Valuation:
     if sr.zero is None:
         raise CapabilityError(f"semiring {sr.name} has no zero element")
-    n = cat.config_count(cat.check_domain(d), cap=cap)
-    return Valuation(cat, sr, d, (sr.zero,) * n)
+    return _constant(cat, sr, d, sr.zero, cap)
+
+
+def _binary(name: str, x, y):
+    """The array form of ``op(x, y)``, cell by cell, with broadcasting."""
+    np = _np
+    # np.maximum/np.minimum may return either of 0.0 and -0.0; Python's
+    # max/min return the first argument unless the second is strictly
+    # greater/smaller
+    if name == "maximum":
+        return np.where(y > x, y, x)
+    if name == "minimum":
+        return np.where(y < x, y, x)
+    return getattr(np, name)(x, y)
+
+
+def _fold(name: str, x):
+    """``reduce(op, column)`` for every column of the 2-D array ``x``."""
+    np = _np
+    if name in ("maximum", "minimum"):
+        # the first cell equal to the extreme, as the left fold of max/min
+        # keeps it; a nan first cell stays, a later nan is never picked
+        best = (np.fmax if name == "maximum" else np.fmin).reduce(x, axis=0)
+        first = x[(x == best).argmax(axis=0), np.arange(x.shape[1])]
+        return np.where(np.isnan(x[0]), x[0], first)
+    # accumulate is a strict left fold; reduce may sum pairwise
+    return getattr(np, name).accumulate(x, axis=0)[-1]
+
+
+def _axes(cat: VariableCatalog, d: Domain, t: Domain) -> list[int]:
+    """Shape of ``d``'s table as an array over ``t``'s axes (``d <= t``)."""
+    return [cat.size(n) if n in d else 1 for n in t.names]
 
 
 def combine(a: Valuation, b: Valuation,
             cap: int | None = dm.DEFAULT_CONFIG_CAP) -> Valuation:
     """Pointwise product on the union domain."""
     _check_operands(a, b)
-    cat = a.catalog
+    cat, sr = a.catalog, a.semiring
     u = a.domain | b.domain
-    cat.config_count(u, cap=cap)
-    table = tuple(map(a.semiring.mul, _gather(a, u), _gather(b, u)))
-    return Valuation(cat, a.semiring, u, table)
+    if cat.config_count(u, cap=cap) >= ARRAY_MIN_CELLS and _array_semiring(sr):
+        x, y = _float_array(a.table), _float_array(b.table)
+        if x is not None and y is not None:
+            # domains are sorted, so each operand's axes are already in
+            # the union's order; a missing variable is a size-1 axis
+            z = _binary(_array_op(sr.mul), x.reshape(_axes(cat, a.domain, u)),
+                        y.reshape(_axes(cat, b.domain, u)))
+            return Valuation(cat, sr, u, _frozen(z.reshape(-1)))
+    table = tuple(map(sr.mul, _gather(a, u), _gather(b, u)))
+    return Valuation(cat, sr, u, table)
 
 
 def _gather(a: Valuation, t: Domain):
     """``a``'s values in ``t``'s configuration order (``d(a) <= t``)."""
     if a.domain == t:
-        return a.table
-    return map(a.table.__getitem__, dm.restriction_index_map(a.catalog, t, a.domain))
+        return a.values
+    return map(a.values.__getitem__, dm.restriction_index_map(a.catalog, t, a.domain))
 
 
 def combine_all(factors: Sequence[Valuation], cat: VariableCatalog, sr: Semiring,
@@ -120,16 +234,28 @@ def project(a: Valuation, t: Domain) -> Valuation:
         raise DomainError(f"cannot project {a.domain} to non-subset {t}")
     if t == a.domain:
         return a
-    cat = a.catalog
-    stride = dict(zip(a.domain.names, dm.strides(cat, a.domain)))
+    cat, sr = a.catalog, a.semiring
+    names = a.domain.names
+    kept = cat.config_count(t, cap=None)
+    if _is_array(a.table) and _array_semiring(sr):
+        # dropped axes outer, kept inner: one row per dropped
+        # configuration, in increasing source-index order
+        drop = [i for i, n in enumerate(names) if n not in t]
+        keep = [i for i, n in enumerate(names) if n in t]
+        x = a.table.reshape([cat.size(n) for n in names]).transpose(drop + keep)
+        out = _fold(_array_op(sr.add), x.reshape(-1, kept))
+        table = _frozen(out.copy()) if kept >= ARRAY_MIN_CELLS else tuple(out.tolist())
+        return Valuation(cat, sr, t, table)
     # kept variables outer, dropped inner: each block of the gathered
     # cells is one output cell
-    order = list(t.names) + [n for n in a.domain.names if n not in t]
-    grouped = map(a.table.__getitem__, dm._offsets(
+    order = list(t.names) + [n for n in names if n not in t]
+    stride = dict(zip(names, dm.strides(cat, a.domain)))
+    values = a.values
+    grouped = map(values.__getitem__, dm._offsets(
         [cat.size(n) for n in order], [stride[n] for n in order]))
-    block = len(a.table) // cat.config_count(t, cap=None)
-    table = tuple(map(reduce, repeat(a.semiring.add), zip(*[grouped] * block)))
-    return Valuation(cat, a.semiring, t, table)
+    block = len(values) // kept
+    table = tuple(map(reduce, repeat(sr.add), zip(*[grouped] * block)))
+    return Valuation(cat, sr, t, table)
 
 
 def vacuous_extend(a: Valuation, t: Domain,
@@ -139,8 +265,13 @@ def vacuous_extend(a: Valuation, t: Domain,
         raise DomainError(f"cannot extend {a.domain} to non-superset {t}")
     if t == a.domain:
         return a
-    a.catalog.config_count(t, cap=cap)
-    return Valuation(a.catalog, a.semiring, t, tuple(_gather(a, t)))
+    cat, sr = a.catalog, a.semiring
+    if cat.config_count(t, cap=cap) >= ARRAY_MIN_CELLS and _array_semiring(sr):
+        x = _float_array(a.table)
+        if x is not None:
+            wide = _np.broadcast_to(x.reshape(_axes(cat, a.domain, t)), _axes(cat, t, t))
+            return Valuation(cat, sr, t, _frozen(wide.flatten()))
+    return Valuation(cat, sr, t, tuple(_gather(a, t)))
 
 
 def transport(a: Valuation, t: Domain,
@@ -162,18 +293,18 @@ def is_null(a: Valuation) -> bool:
     if a.semiring.zero is None:
         raise CapabilityError(f"semiring {a.semiring.name} has no zero element")
     eq, zero = a.semiring.eq, a.semiring.zero
-    return all(eq(v, zero) for v in a.table)
+    return all(eq(v, zero) for v in a.values)
 
 
 def normalize(a: Valuation) -> Valuation:
     """Scale an arithmetic table to total mass one."""
     if a.semiring.name != "arithmetic":
         raise CapabilityError("normalize is defined for the arithmetic semiring only")
-    total = math.fsum(a.table)
+    total = math.fsum(a.values)
     if a.semiring.eq(total, 0.0):
         raise MassError("cannot normalize a zero-mass table")
     return Valuation(a.catalog, a.semiring, a.domain,
-                     tuple(v / total for v in a.table))
+                     tuple(v / total for v in a.values))
 
 
 def invert_regular(p: Valuation, t: Domain) -> Valuation:
@@ -186,7 +317,7 @@ def invert_regular(p: Valuation, t: Domain) -> Valuation:
         raise CapabilityError("regular inversion is defined for the arithmetic semiring only")
     marg = project(p, t)
     eq = p.semiring.eq
-    table = tuple(0.0 if eq(v, 0.0) else 1.0 / v for v in marg.table)
+    table = tuple(0.0 if eq(v, 0.0) else 1.0 / v for v in marg.values)
     return Valuation(p.catalog, p.semiring, t, table)
 
 
@@ -230,6 +361,8 @@ def check_valuation_axioms(
     Laws gated on missing capabilities are reported as not applicable
     rather than silently skipped.
     """
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
     rng = random.Random(seed)
     idem = sr.idempotent_add
     fully_idem = idem and sr.idempotent_mul

@@ -18,11 +18,8 @@ def configs_of(cat, domain):
 
 def as_dict(val):
     """Valuation -> {(name: value index ...) assignment dict tuple: value}."""
-    out = {}
     frames = [range(val.catalog.size(n)) for n in val.domain.names]
-    for i, combo in enumerate(itertools.product(*frames)):
-        out[combo] = val.table[i]
-    return out
+    return dict(zip(itertools.product(*frames), val.values))
 
 
 def dict_combine(cat, sr, da, ta, db, tb):
@@ -168,17 +165,18 @@ def cellwise_combine(a, b):
     u = a.domain | b.domain
     ra = odometer_index_map(a.catalog, u, a.domain)
     rb = odometer_index_map(a.catalog, u, b.domain)
-    mul = a.semiring.mul
-    return u, tuple(mul(a.table[i], b.table[j]) for i, j in zip(ra, rb))
+    mul, va, vb = a.semiring.mul, a.values, b.values
+    return u, tuple(mul(va[i], vb[j]) for i, j in zip(ra, rb))
 
 
 def cellwise_project(a, t):
     add = a.semiring.add
     out = [None] * a.catalog.config_count(t, cap=None)
-    for i, v in zip(odometer_index_map(a.catalog, a.domain, t), a.table):
+    for i, v in zip(odometer_index_map(a.catalog, a.domain, t), a.values):
         out[i] = v if out[i] is None else add(out[i], v)
     return tuple(out)
 
 
 def cellwise_extend(a, t):
-    return tuple(a.table[i] for i in odometer_index_map(a.catalog, t, a.domain))
+    values = a.values
+    return tuple(values[i] for i in odometer_index_map(a.catalog, t, a.domain))

@@ -359,3 +359,55 @@ def test_query_flag_overrides_model_queries():
     assert code == 0
     assert "result {y}: 0.41 0.59" in out
     assert "result {x}" not in out
+
+
+NON_UTF8_MODELS = {
+    "table": b"catalog\n  var x : 0 1\nend\nsemiring arithmetic\n"
+             b"factor f on x\n  table 0.5 \xff\nend\nquery x\n",
+    "comment": b"catalog\n  var x : 0 1  # \xe9t\xe9\nend\nsemiring boolean\n"
+               b"factor f on x\n  table 1 0\nend\nquery x\n",
+}
+
+
+@pytest.mark.parametrize("where", sorted(NON_UTF8_MODELS))
+@pytest.mark.parametrize("command", [["render"], ["solve"]])
+def test_non_utf8_model_is_a_parse_error(tmp_path, where, command):
+    data = NON_UTF8_MODELS[where]
+    path = tmp_path / "model.sv"
+    path.write_bytes(data)
+    code, out, err = run_cli(command + [str(path)])
+    assert code == 2 and out == "" and "UTF-8" in err and "Traceback" not in err
+    # standard input decodes undecodable bytes to lone surrogates
+    code, out, err = _run_stdin(command + ["-"], data.decode("utf-8", "surrogateescape"))
+    assert code == 2 and out == "" and "UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("what", ["semiring", "valuation-axioms"])
+@pytest.mark.parametrize("samples", ["-1", "-200"])
+def test_negative_samples_are_rejected(what, samples):
+    code, out, err = run_cli(["check", "models/laws.sv", "--what", what,
+                              "--samples", samples])
+    assert code == 1 and out == "" and "samples must be >= 1" in err
+
+
+@pytest.mark.parametrize("tolerance", [
+    "nan,nan", "nan,1e-12", "1e-9,nan", "-1e-9,1e-12", "1e-9,-1e-12",
+    "inf,1e-12", "1e-9,inf", "1e-9,-inf",
+])
+def test_bad_tolerance_is_a_parse_error(tolerance):
+    # the "=" form, because argparse reads a leading "-" as a flag
+    code, out, err = run_cli(["solve", "models/chain.sv", f"--tolerance={tolerance}"])
+    assert code == 2 and out == "" and "tolerance" in err
+
+
+def test_zero_tolerance_is_accepted():
+    code, out, _ = run_cli(["solve", "models/chain.sv", "--tolerance", "0,0"])
+    assert code == 0 and "status: ok" in out
+
+
+@pytest.mark.parametrize("op", ["combine", "support", "plausibility"])
+def test_evidence_honours_cap(op):
+    code, out, _ = run_cli(["evidence", "models/evidence.sv", "--op", op])
+    assert code == 0 and out.endswith("status: ok\n")
+    code, out, err = run_cli(["evidence", "models/evidence.sv", "--op", op, "--cap", "1"])
+    assert code == 1 and out == "" and "more than 1 configurations" in err

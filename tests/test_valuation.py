@@ -1,9 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 import semival as sv
+from semival import valuation
 from semival.domains import restriction_index_map
+from semival.semiring import format_value
 from semival.errors import CapabilityError, DomainError, MassError, MismatchError
 
 import helpers
@@ -322,3 +325,174 @@ def test_dense_kernels_match_cellwise_reference():
         assert _same(sv.project(a, kept).table, oracles.cellwise_project(a, kept)), case
         empty = sv.project(a, sv.Domain())
         assert _same(empty.table, oracles.cellwise_project(a, sv.Domain())), case
+
+
+# min as + and max as *, the order dual of bottleneck: the one semiring
+# here whose combination takes the max kernel
+MIN_MAX = replace(sv.get_instance("bottleneck"), name="min-max", add=min, mul=max,
+                  zero=1.0, one=0.0)
+ARRAY_SEMIRINGS = [sv.get_instance(name) for name in KERNEL_SEMIRINGS] + [MIN_MAX]
+FLOAT_SEMIRINGS = ("arithmetic", "tropical", "bottleneck", "fuzzy-product", "min-max")
+
+
+def _array_table(rng, sr, n):
+    """Cells that tell the array kernels from the tuple ones: signed zeros,
+    ``-inf``, mixed magnitudes, and int or mixed int/float tables."""
+    r = rng.random()
+    if r < 0.15:
+        return helpers.random_table(rng, sr, n)  # int-valued for several semirings
+    if sr.name in ("boolean",) or sr.name.startswith("chain"):
+        return helpers.random_table(rng, sr, n)
+    if sr.name == "arithmetic":
+        pool = (0.0, -0.0, 1e16, 1.0, 0.1, 3.0)
+        cells = [rng.choice(pool) * (rng.uniform(1, 2) if rng.random() < 0.7 else 1)
+                 for _ in range(n)]
+    elif sr.name == "tropical":
+        cells = [rng.choice((NEG_INF, 0.0, -0.0, 2.5, float(rng.randint(-6, 6)),
+                             rng.uniform(-6, 6))) for _ in range(n)]
+    else:  # bottleneck, fuzzy-product, min-max: [0, 1]
+        cells = [rng.choice((0.0, -0.0, 1.0, rng.random(), rng.random()))
+                 for _ in range(n)]
+    if r < 0.25 and n > 1:
+        cells[rng.randrange(n)] = 1  # one int cell keeps the whole table a tuple
+    return tuple(cells)
+
+
+def _check_layout(v):
+    """A table is an array exactly when it is large, all-float and the
+    semiring has numpy counterparts; arrays are read-only."""
+    values = v.values
+    want = (len(values) >= valuation.ARRAY_MIN_CELLS
+            and v.semiring.name in FLOAT_SEMIRINGS
+            and all(type(x) is float for x in values))
+    assert valuation._is_array(v.table) == want
+    if want:
+        assert not v.table.flags.writeable
+    else:
+        assert type(v.table) is tuple
+
+
+def _same_cells(got, want) -> bool:
+    """Per cell: ``==``, the printed text and the ``int``/``float`` type.
+
+    Together these pin every bit: ``==`` alone misses only ``0.0`` against
+    ``-0.0``, which print as ``0`` and ``-0``."""
+    _check_layout(got)
+    values = tuple(got.values)
+    return (values == want and list(map(type, values)) == list(map(type, want))
+            and list(map(format_value, values)) == list(map(format_value, want)))
+
+
+def _array_cases(rng, cases, frames, max_vars):
+    pool = [f"v{i}" for i in range(12)]  # "v10" < "v2"
+    for case in range(cases):
+        sr = ARRAY_SEMIRINGS[case % len(ARRAY_SEMIRINGS)]
+        names = rng.sample(pool, rng.randint(2, max_vars))
+        cat = sv.VariableCatalog.of({n: "abc"[:rng.choice(frames)] for n in names})
+        s = helpers.random_domain(rng, cat, max_vars)
+        t = helpers.random_domain(rng, cat, max_vars)
+        a = sv.Valuation(cat, sr, s, _array_table(rng, sr, cat.config_count(s)))
+        b = sv.Valuation(cat, sr, t, _array_table(rng, sr, cat.config_count(t)))
+        yield case, sr, cat, a, b
+
+
+def _check_array_case(rng, case, sr, cat, a, b):
+    for v in (a, b):
+        _check_layout(v)
+    u, want = oracles.cellwise_combine(a, b)
+    got = sv.combine(a, b)
+    assert got.domain == u and _same_cells(got, want), case
+    assert _same_cells(sv.vacuous_extend(a, u), oracles.cellwise_extend(a, u)), case
+    s = a.domain
+    kept = sv.Domain(tuple(rng.sample(s.names, rng.randint(0, len(s)))))
+    for t in (kept, sv.Domain()):
+        assert _same_cells(sv.project(a, t), oracles.cellwise_project(a, t)), case
+    assert _same_cells(sv.project(got, b.domain), oracles.cellwise_project(got, b.domain)), case
+    n = cat.config_count(u)
+    assert _same_cells(sv.unit(cat, sr, u), (sr.one,) * n), case
+    assert _same_cells(sv.null(cat, sr, u), (sr.zero,) * n), case
+
+
+def test_array_kernels_match_cellwise_reference(monkeypatch):
+    """Both layouts against the per-cell reference kernels.  The threshold is
+    lowered so that small tables fall on both sides of it."""
+    monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", 12)
+    rng = random.Random(606)
+    for case in _array_cases(rng, 660, frames=(1, 2, 3, 3), max_vars=6):
+        _check_array_case(rng, *case)
+
+
+def _kernel_results(a, b, kept):
+    u = a.domain | b.domain
+    got = sv.combine(a, b)
+    return [got, sv.vacuous_extend(a, u), sv.project(a, kept), sv.project(a, sv.Domain()),
+            sv.project(got, b.domain), sv.unit(a.catalog, a.semiring, u)]
+
+
+def test_array_kernels_at_the_real_threshold(monkeypatch):
+    """At the shipped threshold, against the tuple layout (whose kernels the
+    tests above pin to the cellwise reference)."""
+    rng = random.Random(61)
+    T = valuation.ARRAY_MIN_CELLS
+    assert T == 3**10
+    names = [f"v{i}" for i in range(10)]  # "v10" < "v2"
+    cat = sv.VariableCatalog.of({n: "abc" for n in names})
+    for case, sr in enumerate(ARRAY_SEMIRINGS):
+        # a table at the threshold, or one variable short of it, times a
+        # 9-cell table whose variables reach or do not reach the threshold
+        big = sv.Domain(tuple(names[case % 2:]))
+        small = sv.Domain(tuple(rng.sample(names, 2)))
+        cells = (_array_table(rng, sr, cat.config_count(big)), _array_table(rng, sr, 9))
+        kept = sv.Domain(tuple(rng.sample(big.names, rng.randint(0, len(big)))))
+        runs = []
+        for threshold in (T, 10**12):
+            monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", threshold)
+            a, b = sv.Valuation(cat, sr, big, cells[0]), sv.Valuation(cat, sr, small, cells[1])
+            runs.append(_kernel_results(a, b, kept))
+        monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", T)
+        for got, want in zip(*runs):
+            assert got.domain == want.domain and _same_cells(got, tuple(want.values)), case
+
+
+def test_array_and_tuple_layouts_give_identical_collect_results(monkeypatch):
+    """Message passing with every table above 8 cells as an array gives the
+    tuple layout's results bit for bit."""
+    rng = random.Random(607)
+    for k in range(140):
+        sr = ARRAY_SEMIRINGS[k % len(ARRAY_SEMIRINGS)]
+        cat = helpers.random_catalog(rng, max_vars=6, max_frame=3)
+        factors = [sv.Valuation(cat, sr, d, _array_table(rng, sr, cat.config_count(d)))
+                   for d in (helpers.random_domain(rng, cat, 4)
+                             for _ in range(rng.randint(1, 5)))]
+        tree = sv.build_covering_join_tree([f.domain for f in factors])
+        ops = sv.ValuationOps(cat, sr)
+        runs = []
+        for threshold in (valuation.ARRAY_MIN_CELLS, 8):
+            monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", threshold)
+            fs = [sv.Valuation(cat, sr, f.domain, tuple(f.values)) for f in factors]
+            result, store = sv.collect(tree, fs, 0, ops)
+            runs.append([result] + sv.distribute(tree, fs, store, ops))
+        for got, want in zip(*runs):
+            assert got.domain == want.domain and _same_cells(got, tuple(want.values)), k
+
+
+def test_array_max_min_treat_nan_as_python_does(monkeypatch):
+    """Tables built in code may hold nan: a left fold of max/min keeps a nan
+    first cell and never picks a later one, and so must the array fold."""
+    monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", 4)
+    nan = float("nan")
+    cat = sv.VariableCatalog.of({"x": "ab", "y": "abc"})
+    xy, other = cat.full_domain, sv.Valuation(cat, MIN_MAX, cat.domain("y"), (0.3, nan, 0.6))
+    for sr in (sv.get_instance("bottleneck"), MIN_MAX):
+        for cells in ((nan, 0.5, 0.2, 0.7, nan, 0.1), (0.5, nan, 0.2, nan, 0.9, -0.0),
+                      (0.0, -0.0, nan, 0.0, 0.4, nan)):
+            a = sv.Valuation(cat, sr, xy, cells)
+            assert valuation._is_array(a.table)
+            for t in (cat.domain("x"), cat.domain("y"), sv.Domain()):
+                want = oracles.cellwise_project(a, t)
+                assert list(map(format_value, sv.project(a, t).values)) == \
+                    list(map(format_value, want))
+            if sr is MIN_MAX:
+                _, want = oracles.cellwise_combine(a, other)
+                assert list(map(format_value, sv.combine(a, other).values)) == \
+                    list(map(format_value, want))
