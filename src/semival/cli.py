@@ -126,14 +126,14 @@ def cmd_check(model: Model, args, comparator: Comparator) -> tuple[list[str], in
     ok = True
     if what == "semiring":
         sr = model.semiring(comparator)
-        report = check_semiring_axioms(sr, samples=args.samples or 10_000,
-                                       seed=args.seed)
+        samples = 10_000 if args.samples is None else args.samples
+        report = check_semiring_axioms(sr, samples=samples, seed=args.seed)
         lines.extend(report.lines())
         ok = report.passed
     elif what == "valuation-axioms":
         sr = model.semiring(comparator)
-        report = check_valuation_axioms(sr, samples=args.samples or 100,
-                                        seed=args.seed)
+        samples = 100 if args.samples is None else args.samples
+        report = check_valuation_axioms(sr, samples=samples, seed=args.seed)
         lines.extend(report.lines())
         ok = report.passed
     elif what == "qseparoid":

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import prod
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CapacityError, DomainError
@@ -261,20 +260,8 @@ def _offsets(sizes, contribs) -> list[int]:
     return out
 
 
-#: The index-map cache keeps at most this many maps, each of at most
-#: ``INDEX_MAP_CACHE_CELLS`` cells; larger maps are rebuilt on every call.
-INDEX_MAP_CACHE_ENTRIES = 256
-INDEX_MAP_CACHE_CELLS = 1024
-
-
-def _offset_map(sizes: tuple[int, ...], contribs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(_offsets(sizes, contribs))
-
-
-_cached_offset_map = lru_cache(maxsize=INDEX_MAP_CACHE_ENTRIES)(_offset_map)
-_uncached_offset_map = lru_cache(maxsize=0)(_offset_map)  # counts the large builds
-
-
+# stores nothing; kept as a wrapper because perfbench/tracer.py reads cache_info()
+@lru_cache(maxsize=0)
 def restriction_index_map(
     cat: VariableCatalog, big: Domain, sub: Domain
 ) -> tuple[int, ...]:
@@ -282,23 +269,9 @@ def restriction_index_map(
 
     No configuration objects are built; this is the indexing workhorse
     behind the tuple kernels of table combination and vacuous extension.
-    A map depends only on its shape (``big``'s frame sizes and ``sub``'s
-    strides), which keys a cache of the small maps.
     """
     if not sub <= big:
         raise DomainError(f"{sub} is not a subset of {big}")
     sub_strides = dict(zip(sub.names, strides(cat, sub)))
-    sizes = tuple(cat.size(name) for name in big.names)
-    contribs = tuple(sub_strides.get(name, 0) for name in big.names)
-    if prod(sizes) <= INDEX_MAP_CACHE_CELLS:
-        return _cached_offset_map(sizes, contribs)
-    return _uncached_offset_map(sizes, contribs)
-
-
-def _index_map_cache_info():
-    """Hits and misses of every call; a large map counts as a miss."""
-    info = _cached_offset_map.cache_info()
-    return info._replace(misses=info.misses + _uncached_offset_map.cache_info().misses)
-
-
-restriction_index_map.cache_info = _index_map_cache_info
+    return tuple(_offsets([cat.size(name) for name in big.names],
+                          [sub_strides.get(name, 0) for name in big.names]))

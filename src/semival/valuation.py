@@ -10,13 +10,12 @@ semirings transport would silently break the algebra, so it raises
 
 A table of at least :data:`ARRAY_MIN_CELLS` cells whose cells are all
 floats is stored as a read-only, flat, row-major ``float64`` numpy array,
-when the semiring's ``add`` and ``mul`` are among ``operator.add``,
-``operator.mul``, ``max`` and ``min``; every other table is a tuple.
-numpy is imported on the first table that reaches the threshold.  Both
-forms compute the same cells, bit for bit: projection folds each output
-cell left to right in increasing source-index order either way, and the
-array ``max``/``min`` keep the first of two equal values, as Python's
-do (which matters for ``0.0`` and ``-0.0``).
+when the semiring's ``add`` and ``mul`` are ``operator.add`` and
+``operator.mul``; every other table is a tuple.  numpy is imported on the
+first table that reaches the threshold.  Both forms compute the same
+cells, bit for bit: projection folds each output cell left to right in
+increasing source-index order either way.  Overflow to ``inf`` and
+``nan`` results pass silently on arrays, as they do on Python floats.
 
 Valuations are immutable and all operations are pure.
 """
@@ -28,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import domains as dm
 from .domains import Domain, VariableCatalog
@@ -38,6 +37,8 @@ from .semiring import Semiring
 
 import random
 
+if TYPE_CHECKING:
+    import numpy
 
 #: Smallest table stored as a numpy array (see the module docstring).
 #: Importing numpy costs about 115 ms, which a job with tables of 3^9
@@ -47,17 +48,9 @@ ARRAY_MIN_CELLS = 3**10
 
 _np = None  # numpy, once the first table reaches ARRAY_MIN_CELLS
 
-# sr.add / sr.mul -> its numpy counterpart; any other operation keeps tuples
-_ARRAY_OPS = ((operator.add, "add"), (operator.mul, "multiply"),
-              (max, "maximum"), (min, "minimum"))
-
-
-def _array_op(fn) -> str | None:
-    return next((name for op, name in _ARRAY_OPS if op is fn), None)
-
-
 def _array_semiring(sr: Semiring) -> bool:
-    return _array_op(sr.add) is not None and _array_op(sr.mul) is not None
+    """Ordinary ``+`` and ``*``, by identity; any other operation keeps tuples."""
+    return sr.add is operator.add and sr.mul is operator.mul
 
 
 def _numpy():
@@ -98,7 +91,7 @@ class Valuation:
     catalog: VariableCatalog
     semiring: Semiring
     domain: Domain
-    table: tuple
+    table: tuple | numpy.ndarray
 
     def __post_init__(self):
         expected = self.catalog.config_count(self.domain, cap=None)
@@ -159,30 +152,22 @@ def null(cat: VariableCatalog, sr: Semiring, d: Domain,
     return _constant(cat, sr, d, sr.zero, cap)
 
 
-def _binary(name: str, x, y):
-    """The array form of ``op(x, y)``, cell by cell, with broadcasting."""
-    np = _np
-    # np.maximum/np.minimum may return either of 0.0 and -0.0; Python's
-    # max/min return the first argument unless the second is strictly
-    # greater/smaller
-    if name == "maximum":
-        return np.where(y > x, y, x)
-    if name == "minimum":
-        return np.where(y < x, y, x)
-    return getattr(np, name)(x, y)
+def _quiet():
+    """Python float arithmetic overflows to ``inf`` and makes ``nan`` silently."""
+    return _np.errstate(over="ignore", invalid="ignore")
 
 
-def _fold(name: str, x):
-    """``reduce(op, column)`` for every column of the 2-D array ``x``."""
-    np = _np
-    if name in ("maximum", "minimum"):
-        # the first cell equal to the extreme, as the left fold of max/min
-        # keeps it; a nan first cell stays, a later nan is never picked
-        best = (np.fmax if name == "maximum" else np.fmin).reduce(x, axis=0)
-        first = x[(x == best).argmax(axis=0), np.arange(x.shape[1])]
-        return np.where(np.isnan(x[0]), x[0], first)
+def _multiply(x, y):
+    """``x * y``, cell by cell, with broadcasting."""
+    with _quiet():
+        return _np.multiply(x, y)
+
+
+def _sum_columns(x):
+    """``reduce(operator.add, column)`` for every column of the 2-D array ``x``."""
     # accumulate is a strict left fold; reduce may sum pairwise
-    return getattr(np, name).accumulate(x, axis=0)[-1]
+    with _quiet():
+        return _np.add.accumulate(x, axis=0)[-1]
 
 
 def _axes(cat: VariableCatalog, d: Domain, t: Domain) -> list[int]:
@@ -201,8 +186,8 @@ def combine(a: Valuation, b: Valuation,
         if x is not None and y is not None:
             # domains are sorted, so each operand's axes are already in
             # the union's order; a missing variable is a size-1 axis
-            z = _binary(_array_op(sr.mul), x.reshape(_axes(cat, a.domain, u)),
-                        y.reshape(_axes(cat, b.domain, u)))
+            z = _multiply(x.reshape(_axes(cat, a.domain, u)),
+                          y.reshape(_axes(cat, b.domain, u)))
             return Valuation(cat, sr, u, _frozen(z.reshape(-1)))
     table = tuple(map(sr.mul, _gather(a, u), _gather(b, u)))
     return Valuation(cat, sr, u, table)
@@ -243,7 +228,7 @@ def project(a: Valuation, t: Domain) -> Valuation:
         drop = [i for i, n in enumerate(names) if n not in t]
         keep = [i for i, n in enumerate(names) if n in t]
         x = a.table.reshape([cat.size(n) for n in names]).transpose(drop + keep)
-        out = _fold(_array_op(sr.add), x.reshape(-1, kept))
+        out = _sum_columns(x.reshape(-1, kept))
         table = _frozen(out.copy()) if kept >= ARRAY_MIN_CELLS else tuple(out.tolist())
         return Valuation(cat, sr, t, table)
     # kept variables outer, dropped inner: each block of the gathered

@@ -8,13 +8,9 @@ from semival.domains import (
     Configuration,
     config_from_index,
     config_index,
-    INDEX_MAP_CACHE_CELLS,
-    INDEX_MAP_CACHE_ENTRIES,
     restriction_index_map,
 )
 from semival.errors import CapacityError, DomainError
-
-import oracles
 
 
 def test_catalog_rejects_duplicates_and_empty_frames():
@@ -145,28 +141,3 @@ def test_restriction_index_map_matches_restrict():
         rmap = restriction_index_map(cat, big, sub)
         for i, c in enumerate(sv.enumerate_configs(cat, big)):
             assert rmap[i] == config_index(cat, sv.restrict(c, sub))
-
-
-def test_index_map_cache_is_keyed_on_shape_and_bounded():
-    info = restriction_index_map.cache_info
-    # same frame sizes and sub strides under other names: the same map
-    maps, before = [], info()
-    for names in (("a", "b", "c"), ("p", "q", "r"), ("x10", "x2", "x3")):
-        cat = sv.VariableCatalog.of({n: "012"[:k] for n, k in zip(names, (2, 3, 2))})
-        maps.append(restriction_index_map(cat, cat.full_domain, cat.domain(names[1])))
-    after = info()
-    assert maps[0] == maps[1] == maps[2] == oracles.odometer_index_map(
-        cat, cat.full_domain, cat.domain(names[1]))
-    assert after.hits - before.hits >= 2
-    assert after.hits + after.misses - before.hits - before.misses == 3
-    # a map above the cell bound is built on every call and never stored
-    cat = sv.VariableCatalog.of({f"v{i}": "01" for i in range(11)})
-    big, sub = cat.full_domain, cat.domain("v1", "v7")
-    assert cat.config_count(big) > INDEX_MAP_CACHE_CELLS
-    for _ in range(2):
-        before = info()
-        assert restriction_index_map(cat, big, sub) == oracles.odometer_index_map(cat, big, sub)
-        after = info()
-        assert (after.hits, after.misses, after.currsize) == \
-            (before.hits, before.misses + 1, before.currsize)
-    assert after.maxsize == INDEX_MAP_CACHE_ENTRIES and after.currsize <= after.maxsize

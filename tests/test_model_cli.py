@@ -383,8 +383,8 @@ def test_non_utf8_model_is_a_parse_error(tmp_path, where, command):
 
 
 @pytest.mark.parametrize("what", ["semiring", "valuation-axioms"])
-@pytest.mark.parametrize("samples", ["-1", "-200"])
-def test_negative_samples_are_rejected(what, samples):
+@pytest.mark.parametrize("samples", ["0", "-1", "-200"])
+def test_nonpositive_samples_are_rejected(what, samples):
     code, out, err = run_cli(["check", "models/laws.sv", "--what", what,
                               "--samples", samples])
     assert code == 1 and out == "" and "samples must be >= 1" in err

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -327,12 +326,7 @@ def test_dense_kernels_match_cellwise_reference():
         assert _same(empty.table, oracles.cellwise_project(a, sv.Domain())), case
 
 
-# min as + and max as *, the order dual of bottleneck: the one semiring
-# here whose combination takes the max kernel
-MIN_MAX = replace(sv.get_instance("bottleneck"), name="min-max", add=min, mul=max,
-                  zero=1.0, one=0.0)
-ARRAY_SEMIRINGS = [sv.get_instance(name) for name in KERNEL_SEMIRINGS] + [MIN_MAX]
-FLOAT_SEMIRINGS = ("arithmetic", "tropical", "bottleneck", "fuzzy-product", "min-max")
+ARRAY_SEMIRINGS = [sv.get_instance(name) for name in KERNEL_SEMIRINGS]
 
 
 def _array_table(rng, sr, n):
@@ -350,7 +344,7 @@ def _array_table(rng, sr, n):
     elif sr.name == "tropical":
         cells = [rng.choice((NEG_INF, 0.0, -0.0, 2.5, float(rng.randint(-6, 6)),
                              rng.uniform(-6, 6))) for _ in range(n)]
-    else:  # bottleneck, fuzzy-product, min-max: [0, 1]
+    else:  # bottleneck, fuzzy-product: [0, 1]
         cells = [rng.choice((0.0, -0.0, 1.0, rng.random(), rng.random()))
                  for _ in range(n)]
     if r < 0.25 and n > 1:
@@ -359,11 +353,11 @@ def _array_table(rng, sr, n):
 
 
 def _check_layout(v):
-    """A table is an array exactly when it is large, all-float and the
-    semiring has numpy counterparts; arrays are read-only."""
+    """A table is an array exactly when it is large, all-float and
+    arithmetic; arrays are read-only."""
     values = v.values
     want = (len(values) >= valuation.ARRAY_MIN_CELLS
-            and v.semiring.name in FLOAT_SEMIRINGS
+            and v.semiring.name == "arithmetic"
             and all(type(x) is float for x in values))
     assert valuation._is_array(v.table) == want
     if want:
@@ -476,23 +470,36 @@ def test_array_and_tuple_layouts_give_identical_collect_results(monkeypatch):
             assert got.domain == want.domain and _same_cells(got, tuple(want.values)), k
 
 
-def test_array_max_min_treat_nan_as_python_does(monkeypatch):
-    """Tables built in code may hold nan: a left fold of max/min keeps a nan
-    first cell and never picks a later one, and so must the array fold."""
-    monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", 4)
-    nan = float("nan")
-    cat = sv.VariableCatalog.of({"x": "ab", "y": "abc"})
-    xy, other = cat.full_domain, sv.Valuation(cat, MIN_MAX, cat.domain("y"), (0.3, nan, 0.6))
-    for sr in (sv.get_instance("bottleneck"), MIN_MAX):
-        for cells in ((nan, 0.5, 0.2, 0.7, nan, 0.1), (0.5, nan, 0.2, nan, 0.9, -0.0),
-                      (0.0, -0.0, nan, 0.0, 0.4, nan)):
-            a = sv.Valuation(cat, sr, xy, cells)
-            assert valuation._is_array(a.table)
-            for t in (cat.domain("x"), cat.domain("y"), sv.Domain()):
-                want = oracles.cellwise_project(a, t)
-                assert list(map(format_value, sv.project(a, t).values)) == \
-                    list(map(format_value, want))
-            if sr is MIN_MAX:
-                _, want = oracles.cellwise_combine(a, other)
-                assert list(map(format_value, sv.combine(a, other).values)) == \
-                    list(map(format_value, want))
+def _overflowing_model() -> str:
+    """A 3^10-cell arithmetic factor whose products overflow to ``inf``,
+    and a message of zeros that turns some of them into ``nan``."""
+    names = [f"w{i}" for i in range(10)]
+    lines = (["catalog"] + [f"  var {n} : 0 1 2" for n in names + ["z"]]
+             + ["end", "semiring arithmetic",
+                f"factor f on {' '.join(names)}", "  table " + " ".join(["1e200"] * 3**10),
+                "end", "factor g on w0 w1", "  table " + " ".join(["1e200"] * 9), "end",
+                "factor h on w0 z", "  table " + " ".join(["0.0"] * 3 + ["1.0"] * 6), "end",
+                "query w0", "query w1", "query w0 z"])
+    return "\n".join(lines) + "\n"
+
+
+def test_array_overflow_is_as_silent_as_python_floats(tmp_path, capsys, monkeypatch):
+    """Overflow and ``inf * 0`` raise no warning on either layout, even
+    with warnings as errors, and both layouts print the same report."""
+    import warnings
+
+    from semival import cli
+
+    path = tmp_path / "overflow.sv"
+    path.write_text(_overflowing_model())
+    outputs = []
+    for threshold in (valuation.ARRAY_MIN_CELLS, 3**11 + 1):
+        monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", threshold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err.startswith("elapsed: ") and err.count("\n") == 1, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert "inf" in outputs[0] and "nan" in outputs[0], outputs[0]
