@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from . import domains as dm
 from .compare import DEFAULT_COMPARATOR, Comparator
-from .domains import Configuration, Domain, VariableCatalog
+from .domains import Domain, VariableCatalog
 from .errors import (
     CapacityError,
     DomainError,
@@ -83,9 +83,6 @@ class FocalSet:
     def complement(self, cat: VariableCatalog) -> "FocalSet":
         full = FocalSet.full(cat, self.domain)
         return FocalSet(self.domain, tuple(set(full.configs) - self.config_set))
-
-    def members(self) -> tuple[Configuration, ...]:
-        return tuple(Configuration(self.domain, v) for v in self.configs)
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -275,31 +272,31 @@ def all_focal_sets(cat: VariableCatalog, domain: Domain,
     return out
 
 
-def _table_to_masks(cat: VariableCatalog, domain: Domain,
-                    table: Mapping[FocalSet, float], cap: int) -> list[float]:
-    k = cat.config_count(domain, cap=None)
-    if k > cap:
-        raise CapacityError(f"frame of {domain} has {k} > {cap} configurations")
+def _moebius_invert(cat: VariableCatalog, domain: Domain,
+                    table: Mapping[FocalSet, float], cap: int,
+                    comparator: Comparator, superset: bool) -> SetPotential:
+    """Invert a full table over all subsets of the frame to the masses.
+
+    One frame configuration (bit) at a time, every set holding it (or, for
+    ``superset``, lacking it) subtracts the entry of the set that differs
+    from it in that bit alone.
+    """
     subsets = all_focal_sets(cat, domain, cap)
     if len(table) != len(subsets):
         raise MassError(
             f"table has {len(table)} entries, expected {len(subsets)}"
         )
-    values = []
+    f = []
     for fs in subsets:
         if fs not in table:
             raise MassError("table does not cover every subset of the frame")
-        values.append(float(table[fs]))
-    return values
-
-
-def _masks_to_potential(cat: VariableCatalog, domain: Domain,
-                        values: list[float],
-                        comparator: Comparator) -> SetPotential:
-    subsets = all_focal_sets(cat, domain, cap=None)
-    items = [
-        (fs, v) for fs, v in zip(subsets, values) if not comparator.is_zero(v)
-    ]
+        f.append(float(table[fs]))
+    for bit in range(cat.config_count(domain, cap=None)):
+        step = 1 << bit
+        for mask in range(len(f)):
+            if bool(mask & step) != superset:
+                f[mask] -= f[mask ^ step]
+    items = [(fs, v) for fs, v in zip(subsets, f) if not comparator.is_zero(v)]
     return set_potential(cat, domain, items, RAW, comparator=comparator)
 
 
@@ -311,14 +308,7 @@ def belief_to_mass(
     comparator: Comparator = DEFAULT_COMPARATOR,
 ) -> SetPotential:
     """Invert a full belief table by the alternating subset sums."""
-    f = _table_to_masks(cat, domain, belief, cap)
-    k = cat.config_count(domain, cap=None)
-    for bit in range(k):
-        step = 1 << bit
-        for mask in range(len(f)):
-            if mask & step:
-                f[mask] -= f[mask ^ step]
-    return _masks_to_potential(cat, domain, f, comparator)
+    return _moebius_invert(cat, domain, belief, cap, comparator, superset=False)
 
 
 def commonality_to_mass(
@@ -329,14 +319,7 @@ def commonality_to_mass(
     comparator: Comparator = DEFAULT_COMPARATOR,
 ) -> SetPotential:
     """Invert a full commonality table by the alternating superset sums."""
-    f = _table_to_masks(cat, domain, commonality, cap)
-    k = cat.config_count(domain, cap=None)
-    for bit in range(k):
-        step = 1 << bit
-        for mask in range(len(f)):
-            if not mask & step:
-                f[mask] -= f[mask | step]
-    return _masks_to_potential(cat, domain, f, comparator)
+    return _moebius_invert(cat, domain, commonality, cap, comparator, superset=True)
 
 
 def degree_of_quasi_support(m: SetPotential, h: FocalSet) -> float:

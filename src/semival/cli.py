@@ -18,7 +18,7 @@ import time
 from . import belief as bf
 from . import treecomp as tc
 from .compare import Comparator, DEFAULT_COMPARATOR
-from .domains import Domain
+from .domains import DEFAULT_CONFIG_CAP, Domain
 from .errors import CapabilityError, ParseError, SemivalError
 from .model import Model, config_text, parse_model, render_model
 from .partitions import check_qseparoid
@@ -26,10 +26,6 @@ from .semiring import check_semiring_axioms, format_value
 from .valuation import check_valuation_axioms
 
 VERSION = "0.1.0"
-
-
-def _fmt_domain(d: Domain) -> str:
-    return "{" + " ".join(d.names) + "}"
 
 
 def _fmt_focal(model: Model, fs: bf.FocalSet) -> str:
@@ -63,16 +59,16 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
         lines.insert(0, f"semiring: {sr.name}")
 
         def answer_lines(q: Domain, answer) -> list[str]:
-            body = " ".join(sr.fmt(x) for x in answer.values)
-            return [f"result {_fmt_domain(q)}: {body}"]
+            body = " ".join(map(format_value, answer.values))
+            return [f"result {q}: {body}"]
 
         covered = tc.join_of([f.domain for f in factors])
         if not sr.idempotent_add:
             for q in queries:
                 if not q <= covered:
                     raise CapabilityError(
-                        f"query {_fmt_domain(q)} leaves the factor domain "
-                        f"{_fmt_domain(covered)}; {sr.name} has no transport"
+                        f"query {q} leaves the factor domain "
+                        f"{covered}; {sr.name} has no transport"
                     )
     else:
         ops = tc.SetPotentialOps(model.catalog, cap=args.cap)
@@ -80,7 +76,7 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
         lines.insert(0, "semiring: none (set potentials)")
 
         def answer_lines(q: Domain, answer) -> list[str]:
-            return [f"result {_fmt_domain(q)}:",
+            return [f"result {q}:",
                     *_potential_lines(model, answer, "  focal ")]
 
     if model.trees:
@@ -91,12 +87,11 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
         tree = tc.build_covering_join_tree(
             [f.domain for f in factors],
             heuristic=args.heuristic,
-            seed=args.seed,
             cover=queries,
         )
         lines.append(f"tree: built ({len(tree)} nodes)")
     for i, label in enumerate(tree.labels):
-        lines.append(f"node {i}: {_fmt_domain(label)}")
+        lines.append(f"node {i}: {label}")
     for a, b in tree.edges:
         lines.append(f"edge {a} {b}")
 
@@ -115,7 +110,7 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
         lines.extend(answer_lines(q, answer))
         if args.oracle:
             dev = ops.deviation(answer, tc.naive_solve(factors, q, ops))
-            lines.append(f"oracle deviation {_fmt_domain(q)}: {format_value(dev)}")
+            lines.append(f"oracle deviation {q}: {format_value(dev)}")
     lines.append("status: ok")
     return lines, 0
 
@@ -167,8 +162,6 @@ def cmd_check(model: Model, args, comparator: Comparator) -> tuple[list[str], in
             lines.append(f"valid: no (violated at step {bad + 1})")
             lines.append("result: FAIL")
             ok = False
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown check {what!r}")
     return lines, 0 if ok else 1
 
 
@@ -220,7 +213,7 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
         for name, pot in model.potentials:
             subsets = bf.all_focal_sets(model.catalog, pot.domain, cap=args.subset_cap)
             lines.append(
-                f"moebius {name} {_fmt_domain(pot.domain)}: {len(subsets)} subsets"
+                f"moebius {name} {pot.domain}: {len(subsets)} subsets"
             )
             btable = {fs: bf.mass_to_belief(pot, fs) for fs in subsets}
             qtable = {fs: bf.mass_to_commonality(pot, fs) for fs in subsets}
@@ -236,8 +229,6 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
             for label, back in (("belief", back_b), ("commonality", back_q)):
                 dev = ops.deviation(pot, back)
                 lines.append(f"  roundtrip {label}: max deviation {format_value(dev)}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown evidence op {op!r}")
     lines.append("status: ok")
     return lines, 0
 
@@ -253,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("model", help="model file path, or - for stdin")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--cap", type=int, default=None,
+        sp.add_argument("--cap", type=int, default=DEFAULT_CONFIG_CAP,
                         help="configuration-count cap (default 2^24)")
         sp.add_argument("--tolerance", default=None, metavar="REL,ABS",
                         help="comparator tolerances (default 1e-9,1e-12)")
@@ -319,8 +310,10 @@ def main(argv=None) -> int:
         comparator = DEFAULT_COMPARATOR
         if args.tolerance:
             comparator = _comparator(args.tolerance)
-        if args.cap is None:
-            args.cap = 2**24
+        for flag, cap in (("--cap", args.cap),
+                          ("--subset-cap", getattr(args, "subset_cap", 1))):
+            if cap < 1:  # every domain has at least one configuration
+                raise ParseError(f"bad {flag} {cap}: must be >= 1")
         text = _read_model(args.model)
         model = parse_model(text, comparator)
         if args.command == "solve":

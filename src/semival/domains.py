@@ -178,12 +178,6 @@ class Configuration:
                 f"for domain of size {len(self.domain)}"
             )
 
-    def value_of(self, name: str) -> int:
-        try:
-            return self.values[self.domain.names.index(name)]
-        except ValueError:
-            raise DomainError(f"variable {name!r} not in {self.domain}") from None
-
     def labels(self, cat: VariableCatalog) -> tuple[str, ...]:
         return tuple(cat.frame(n)[v] for n, v in zip(self.domain.names, self.values))
 

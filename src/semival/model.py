@@ -398,7 +398,7 @@ def render_model(model: Model) -> str:
         if val.domain:
             head += " on " + " ".join(val.domain.names)
         out.append(head)
-        out.append("  table " + " ".join(val.semiring.fmt(x) for x in val.values))
+        out.append("  table " + " ".join(map(format_value, val.values)))
         out.append("end")
     for name, pot in model.potentials:
         head = f"potential {name}"

@@ -79,20 +79,6 @@ class Semiring:
                 f"{text!r} is not in the {self.name} carrier ({self.carrier})")
         return v
 
-    def fmt(self, v) -> str:
-        return format_value(v)
-
-    def sum(self, values):
-        it = iter(values)
-        try:
-            acc = next(it)
-        except StopIteration:
-            if self.zero is None:
-                raise DomainError(f"{self.name} has no zero for an empty sum") from None
-            return self.zero
-        for v in it:
-            acc = self.add(acc, v)
-        return acc
 
 
 def _sample_boolean(rng: random.Random) -> int:

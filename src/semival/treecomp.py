@@ -9,8 +9,8 @@ for either semiring valuations (:class:`ValuationOps`) or set potentials
 * ``transport(a, d)``, ``message(a, target)`` -- moving information to
   another domain and shaping an edge message for the receiving label,
 * ``solve_to(a, x)`` -- the answer on ``x`` (projection when covered),
-* ``equal(a, b)``, ``deviation(a, b)`` -- comparison and the largest
-  numeric difference, for oracle reports,
+* ``deviation(a, b)`` -- the largest numeric difference, for oracle
+  reports,
 * ``supports_transport``, ``supports_idempotent_distribute`` --
   capability flags gating the hypertree schemes.
 
@@ -22,12 +22,12 @@ valuations:
 * projection form -- messages live on the edge separator (label
   intersection); valid for every semiring.
 
-The form is selected automatically from the semiring flags.  Collect
-computes the combined information at a chosen root; distribute reuses
-the cached inward messages and builds only the outward messages on the
-paths from the root to the requested nodes.  Hypertree
-elimination is the sequential variant; its backward pass needs a fully
-idempotent algebra and refuses to run otherwise.
+``ValuationOps.message`` picks transport form exactly when the semiring
+has idempotent addition.  Collect computes the combined information at
+a chosen root; distribute reuses the cached inward messages and builds
+only the outward messages on the paths from the root to the requested
+nodes.  Hypertree elimination is the sequential variant; its backward
+pass needs a fully idempotent algebra and refuses to run otherwise.
 
 ``naive_solve`` is the deliberately simple combine-then-extract oracle
 that every local scheme is tested against.
@@ -45,13 +45,9 @@ from typing import Sequence
 from . import belief as bf
 from . import domains as dm
 from . import valuation as va
-from .compare import DEFAULT_COMPARATOR
 from .domains import Domain, VariableCatalog
 from .errors import CapabilityError, DomainError
 from .semiring import Semiring
-
-TRANSPORT = "transport"
-PROJECTION = "projection"
 
 
 def join_of(domains: Sequence[Domain]) -> Domain:
@@ -90,22 +86,11 @@ class LabeledTree:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         if len(self.edges) != n - 1:
             raise DomainError(f"{n} nodes need {n - 1} edges, got {len(self.edges)}")
-        if self._component(0) != set(range(n)):
+        if len(self.rooted_order(0)[0]) != n:
             raise DomainError("tree is not connected")
         for k, v in enumerate(self.assignment):
             if not 0 <= v < n:
                 raise DomainError(f"factor {k} assigned to missing node {v}")
-
-    def _component(self, start: int) -> set[int]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in self.neighbors[v]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return seen
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -133,20 +118,6 @@ class LabeledTree:
                     order.append(u)
         return order, parent
 
-    def subtree_nodes(self, v: int, w: int) -> list[int]:
-        """Nodes of the subtree containing ``w`` after removing ``v``."""
-        seen = {v, w}
-        frontier = [w]
-        out = [w]
-        while frontier:
-            x = frontier.pop()
-            for u in self.neighbors[x]:
-                if u not in seen:
-                    seen.add(u)
-                    out.append(u)
-                    frontier.append(u)
-        return sorted(out)
-
 
 def is_join_tree(tree: LabeledTree) -> bool:
     """Running intersection: the nodes holding each variable form a subtree.
@@ -162,46 +133,11 @@ def is_join_tree(tree: LabeledTree) -> bool:
     return all(k == 1 for k in excess.values())
 
 
-def ci_family(domains: Sequence[Domain], z: Domain) -> bool:
-    """Family conditional independence: every disjoint split is independent.
-
-    Singleton and empty families are independent by convention.
-    """
-    n = len(domains)
-    if n < 2:
-        return True
-    unions = [dm.EMPTY_DOMAIN] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        unions[mask] = unions[mask ^ low] | domains[low.bit_length() - 1]
-    full = (1 << n) - 1
-    for j_mask in range(1, full + 1):
-        rest = full ^ j_mask
-        k_mask = rest
-        while k_mask:
-            if not dm.cond_indep_subsets(unions[j_mask], unions[k_mask], z):
-                return False
-            k_mask = (k_mask - 1) & rest
-    return True
-
-
-def markov_check_direct(tree: LabeledTree) -> bool:
-    """Quantified neighbor-split check at every node (exponential in degree)."""
-    for v in range(len(tree)):
-        branches = [
-            join_of([tree.labels[u] for u in tree.subtree_nodes(v, w)])
-            for w in tree.neighbors[v]
-        ]
-        if not ci_family(branches, tree.labels[v]):
-            return False
-    return True
-
-
 def is_markov_tree(tree: LabeledTree) -> bool:
     """On subset-lattice labels the join-tree test decides the Markov property.
 
-    :func:`markov_check_direct` evaluates the quantified definition and is
-    the reference the two are tested against.
+    ``markov_check_direct`` in ``tests/oracles.py`` evaluates the quantified
+    definition and is the reference the two are tested against.
     """
     return is_join_tree(tree)
 
@@ -254,7 +190,6 @@ def sequence_to_join_tree(seq: EliminationSequence) -> LabeledTree:
 def build_covering_join_tree(
     factor_domains: Sequence[Domain],
     heuristic: str = "min-fill",
-    seed: int = 0,
     cover: Sequence[Domain] = (),
 ) -> LabeledTree:
     """Variable elimination on the interaction graph; clusters chained.
@@ -265,13 +200,10 @@ def build_covering_join_tree(
     result is deterministic.  The costs sit in a ``(cost, name)`` heap;
     eliminating a variable can change only the costs of the variables
     within two steps of it, so only those are rescored, and the picks
-    and ties are those of a full rescan at every step.  The ``seed`` is
-    accepted for interface stability and recorded nowhere: no random
-    choice remains.
+    and ties are those of a full rescan at every step.
     """
     if heuristic not in ("min-degree", "min-fill"):
         raise DomainError(f"unknown heuristic {heuristic!r}")
-    del seed
     cliques = [set(d.names) for d in factor_domains] + [set(d.names) for d in cover]
     variables = sorted(set().union(*cliques)) if cliques else []
     if not variables:
@@ -418,7 +350,6 @@ class ValuationOps:
                  cap: int | None = dm.DEFAULT_CONFIG_CAP):
         self.catalog = cat
         self.semiring = sr
-        self.form = TRANSPORT if sr.idempotent_add else PROJECTION
         self.cap = cap
 
     def combine(self, a, b):
@@ -431,7 +362,7 @@ class ValuationOps:
         return va.transport(a, d, cap=self.cap)
 
     def message(self, a, target: Domain):
-        if self.form == TRANSPORT:
+        if self.semiring.idempotent_add:
             return va.transport(a, target, cap=self.cap)
         return va.project(a, a.domain & target)
 
@@ -444,9 +375,6 @@ class ValuationOps:
             f"cannot move a {self.semiring.name} valuation from {a.domain} "
             f"to non-subset {x}: transport needs idempotent addition"
         )
-
-    def equal(self, a, b) -> bool:
-        return va.valuations_equal(a, b)
 
     def deviation(self, a, b) -> float:
         dev = 0.0
@@ -486,12 +414,6 @@ class SetPotentialOps:
 
     message = solve_to = transport
 
-    def equal(self, a, b) -> bool:
-        if a.domain != b.domain:
-            return False
-        keys = set(a.by_set) | set(b.by_set)
-        return all(DEFAULT_COMPARATOR.eq(a.mass(k), b.mass(k)) for k in keys)
-
     def deviation(self, a, b) -> float:
         keys = set(a.by_set) | set(b.by_set)
         return max((abs(a.mass(k) - b.mass(k)) for k in keys), default=0.0)
@@ -524,6 +446,17 @@ def _node_factors(tree: LabeledTree, factors: Sequence, ops) -> list:
     return out
 
 
+def _absorb(tree: LabeledTree, node_factors: Sequence, messages: dict, v: int,
+            skip: int, ops):
+    """``node_factors[v]`` combined with the messages into ``v`` from every
+    neighbour except ``skip``, in neighbour order (``skip=v`` takes all)."""
+    acc = node_factors[v]
+    for u in tree.neighbors[v]:
+        if u != skip:
+            acc = ops.combine(acc, messages[(u, v)])
+    return acc
+
+
 def collect(tree: LabeledTree, factors: Sequence, root: int, ops):
     """Inward pass; returns the root result and the cached messages."""
     if not 0 <= root < len(tree):
@@ -536,15 +469,9 @@ def collect(tree: LabeledTree, factors: Sequence, root: int, ops):
     for v in reversed(order):
         if v == root:
             continue
-        acc = node_factors[v]
-        for u in tree.neighbors[v]:
-            if u != parent[v]:
-                acc = ops.combine(acc, store.messages[(u, v)])
+        acc = _absorb(tree, node_factors, store.messages, v, parent[v], ops)
         store.messages[(v, parent[v])] = ops.message(acc, tree.labels[parent[v]])
-    result = node_factors[root]
-    for u in tree.neighbors[root]:
-        result = ops.combine(result, store.messages[(u, root)])
-    return result, store
+    return _absorb(tree, node_factors, store.messages, root, root, ops), store
 
 
 def distribute(tree: LabeledTree, factors: Sequence, store: MessageStore, ops,
@@ -574,18 +501,9 @@ def distribute(tree: LabeledTree, factors: Sequence, store: MessageStore, ops,
         if v not in on_path or (parent[v], v) in store.messages:
             continue
         p = parent[v]
-        acc = node_factors[p]
-        for u in tree.neighbors[p]:
-            if u != v:
-                acc = ops.combine(acc, store.messages[(u, p)])
+        acc = _absorb(tree, node_factors, store.messages, p, v, ops)
         store.messages[(p, v)] = ops.message(acc, tree.labels[v])
-    results = []
-    for v in nodes:
-        acc = node_factors[v]
-        for u in tree.neighbors[v]:
-            acc = ops.combine(acc, store.messages[(u, v)])
-        results.append(acc)
-    return results
+    return [_absorb(tree, node_factors, store.messages, v, v, ops) for v in nodes]
 
 
 def naive_solve(factors: Sequence, x: Domain, ops):

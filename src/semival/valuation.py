@@ -157,19 +157,6 @@ def _quiet():
     return _np.errstate(over="ignore", invalid="ignore")
 
 
-def _multiply(x, y):
-    """``x * y``, cell by cell, with broadcasting."""
-    with _quiet():
-        return _np.multiply(x, y)
-
-
-def _sum_columns(x):
-    """``reduce(operator.add, column)`` for every column of the 2-D array ``x``."""
-    # accumulate is a strict left fold; reduce may sum pairwise
-    with _quiet():
-        return _np.add.accumulate(x, axis=0)[-1]
-
-
 def _axes(cat: VariableCatalog, d: Domain, t: Domain) -> list[int]:
     """Shape of ``d``'s table as an array over ``t``'s axes (``d <= t``)."""
     return [cat.size(n) if n in d else 1 for n in t.names]
@@ -186,8 +173,9 @@ def combine(a: Valuation, b: Valuation,
         if x is not None and y is not None:
             # domains are sorted, so each operand's axes are already in
             # the union's order; a missing variable is a size-1 axis
-            z = _multiply(x.reshape(_axes(cat, a.domain, u)),
-                          y.reshape(_axes(cat, b.domain, u)))
+            with _quiet():
+                z = _np.multiply(x.reshape(_axes(cat, a.domain, u)),
+                                 y.reshape(_axes(cat, b.domain, u)))
             return Valuation(cat, sr, u, _frozen(z.reshape(-1)))
     table = tuple(map(sr.mul, _gather(a, u), _gather(b, u)))
     return Valuation(cat, sr, u, table)
@@ -228,7 +216,9 @@ def project(a: Valuation, t: Domain) -> Valuation:
         drop = [i for i, n in enumerate(names) if n not in t]
         keep = [i for i, n in enumerate(names) if n in t]
         x = a.table.reshape([cat.size(n) for n in names]).transpose(drop + keep)
-        out = _sum_columns(x.reshape(-1, kept))
+        # accumulate is a strict left fold; reduce may sum pairwise
+        with _quiet():
+            out = _np.add.accumulate(x.reshape(-1, kept), axis=0)[-1]
         table = _frozen(out.copy()) if kept >= ARRAY_MIN_CELLS else tuple(out.tolist())
         return Valuation(cat, sr, t, table)
     # kept variables outer, dropped inner: each block of the gathered

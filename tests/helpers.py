@@ -73,3 +73,11 @@ def random_mass_function(rng: random.Random, cat, domain, allow_empty=True):
 def exact_equal(a, b) -> bool:
     """Value-level exact table equality (2 == 2.0 counts as equal)."""
     return a.domain == b.domain and all(x == y for x, y in zip(a.values, b.values))
+
+
+def potentials_equal(a, b) -> bool:
+    """Same domain, and every focal set's mass equal up to the default comparator."""
+    if a.domain != b.domain:
+        return False
+    keys = set(a.by_set) | set(b.by_set)
+    return all(sv.DEFAULT_COMPARATOR.eq(a.mass(k), b.mass(k)) for k in keys)

@@ -7,8 +7,10 @@ so they can referee the dense-table implementations.
 
 import itertools
 
+from semival import domains as dm
 from semival import treecomp
 from semival.domains import EMPTY_DOMAIN, Domain
+from semival.treecomp import join_of
 
 
 def configs_of(cat, domain):
@@ -180,3 +182,53 @@ def cellwise_project(a, t):
 def cellwise_extend(a, t):
     values = a.values
     return tuple(values[i] for i in odometer_index_map(a.catalog, t, a.domain))
+
+
+def subtree_nodes(tree, v: int, w: int) -> list[int]:
+    """Nodes of the subtree containing ``w`` after removing ``v``."""
+    seen = {v, w}
+    frontier = [w]
+    out = [w]
+    while frontier:
+        x = frontier.pop()
+        for u in tree.neighbors[x]:
+            if u not in seen:
+                seen.add(u)
+                out.append(u)
+                frontier.append(u)
+    return sorted(out)
+
+
+def ci_family(domains, z: Domain) -> bool:
+    """Family conditional independence: every disjoint split is independent.
+
+    Singleton and empty families are independent by convention.
+    """
+    n = len(domains)
+    if n < 2:
+        return True
+    unions = [dm.EMPTY_DOMAIN] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        unions[mask] = unions[mask ^ low] | domains[low.bit_length() - 1]
+    full = (1 << n) - 1
+    for j_mask in range(1, full + 1):
+        rest = full ^ j_mask
+        k_mask = rest
+        while k_mask:
+            if not dm.cond_indep_subsets(unions[j_mask], unions[k_mask], z):
+                return False
+            k_mask = (k_mask - 1) & rest
+    return True
+
+
+def markov_check_direct(tree) -> bool:
+    """Quantified neighbor-split check at every node (exponential in degree)."""
+    for v in range(len(tree)):
+        branches = [
+            join_of([tree.labels[u] for u in subtree_nodes(tree, v, w)])
+            for w in tree.neighbors[v]
+        ]
+        if not ci_family(branches, tree.labels[v]):
+            return False
+    return True

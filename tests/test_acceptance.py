@@ -20,6 +20,7 @@ from semival.partitions import lattice_cond_indep, partition_by
 from semival.semiring import corrupted
 
 import helpers
+import oracles
 
 HERE = Path(__file__).parent
 
@@ -354,7 +355,7 @@ def test_criterion_7_tree_structure():
                     for _ in range(n)
                 )
                 tree = sv.LabeledTree(labels, edges)
-                if tc.markov_check_direct(tree) != sv.is_join_tree(tree):
+                if oracles.markov_check_direct(tree) != sv.is_join_tree(tree):
                     problems.append(f"disagreement on {labels}")
                 cases += 1
     if cases < 1000:

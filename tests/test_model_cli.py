@@ -411,3 +411,16 @@ def test_evidence_honours_cap(op):
     assert code == 0 and out.endswith("status: ok\n")
     code, out, err = run_cli(["evidence", "models/evidence.sv", "--op", op, "--cap", "1"])
     assert code == 1 and out == "" and "more than 1 configurations" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "models/chain.sv", "--cap", "0"],
+    ["solve", "models/chain.sv", "--cap", "-1"],
+    ["evidence", "models/evidence.sv", "--op", "combine", "--cap", "0"],
+    ["evidence", "models/evidence.sv", "--op", "moebius", "--subset-cap", "-1"],
+    ["evidence", "models/evidence.sv", "--op", "moebius", "--subset-cap", "0"],
+])
+def test_cap_below_one_is_a_parse_error(argv):
+    # every domain has at least one configuration, so such a cap is never met
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "" and "cap" in err and "must be >= 1" in err

@@ -1,4 +1,3 @@
-import math
 
 import pytest
 
@@ -99,14 +98,6 @@ def test_parse_and_format():
     assert format_value(7) == "7"
     with pytest.raises(DomainError):
         tr.parse("x")
-
-
-def test_sum_helper():
-    ar = sv.get_instance("arithmetic")
-    assert ar.sum([]) == 0.0
-    assert math.isclose(ar.sum([0.25, 0.5]), 0.75)
-    tr = sv.get_instance("tropical")
-    assert tr.sum([2, 9, 4]) == 9
 
 
 def test_report_is_deterministic():
