@@ -14,26 +14,26 @@ import hashlib
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import belief as bf
-from . import treecomp as tc
 from .compare import Comparator, DEFAULT_COMPARATOR
 from .domains import DEFAULT_CONFIG_CAP, Domain
-from .errors import CapabilityError, ParseError, SemivalError
+from .errors import CapabilityError, DomainError, ParseError, SemivalError
 from .model import Model, config_text, parse_model, render_model
-from .partitions import check_qseparoid
-from .semiring import check_semiring_axioms, format_value
-from .valuation import check_valuation_axioms
+from .semiring import format_value
+
+if TYPE_CHECKING:  # each command imports the modules it runs
+    from .belief import FocalSet, SetPotential
 
 VERSION = "0.1.0"
 
 
-def _fmt_focal(model: Model, fs: bf.FocalSet) -> str:
+def _fmt_focal(model: Model, fs: FocalSet) -> str:
     cfgs = (config_text(model.catalog, fs.domain, values) for values in fs.configs)
     return "{" + " ".join(cfgs) + "}"
 
 
-def _potential_lines(model: Model, pot: bf.SetPotential, prefix: str) -> list[str]:
+def _potential_lines(model: Model, pot: SetPotential, prefix: str) -> list[str]:
     out = []
     for fs, mass in pot.focal:
         out.append(f"{prefix}{_fmt_focal(model, fs)}: {format_value(mass)}")
@@ -41,12 +41,19 @@ def _potential_lines(model: Model, pot: bf.SetPotential, prefix: str) -> list[st
 
 
 def _queries(model: Model, args) -> list[Domain]:
-    if args.query is not None:
-        return [model.catalog.domain(*q.replace(",", " ").split()) for q in args.query]
-    return model.queries
+    if args.query is None:
+        return model.queries
+    queries = []
+    for q in args.query:
+        try:
+            queries.append(model.catalog.domain(*q.replace(",", " ").split()))
+        except DomainError as exc:
+            raise ParseError(f"bad --query {q!r}: {exc}") from None
+    return queries
 
 
 def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], int]:
+    from . import treecomp as tc
     queries = _queries(model, args)
     if not queries:
         raise ParseError("no query: add 'query VAR...' stanzas or pass --query")
@@ -62,8 +69,8 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
             body = " ".join(map(format_value, answer.values))
             return [f"result {q}: {body}"]
 
-        covered = tc.join_of([f.domain for f in factors])
         if not sr.idempotent_add:
+            covered = tc.join_of([f.domain for f in factors])
             for q in queries:
                 if not q <= covered:
                     raise CapabilityError(
@@ -120,12 +127,14 @@ def cmd_check(model: Model, args, comparator: Comparator) -> tuple[list[str], in
     lines: list[str] = []
     ok = True
     if what == "semiring":
+        from .semiring import check_semiring_axioms
         sr = model.semiring(comparator)
         samples = 10_000 if args.samples is None else args.samples
         report = check_semiring_axioms(sr, samples=samples, seed=args.seed)
         lines.extend(report.lines())
         ok = report.passed
     elif what == "valuation-axioms":
+        from .valuation import check_valuation_axioms
         sr = model.semiring(comparator)
         samples = 100 if args.samples is None else args.samples
         report = check_valuation_axioms(sr, samples=samples, seed=args.seed)
@@ -134,12 +143,14 @@ def cmd_check(model: Model, args, comparator: Comparator) -> tuple[list[str], in
     elif what == "qseparoid":
         if not model.partitions:
             raise ParseError("model has no partition stanzas")
+        from .partitions import check_qseparoid
         report = check_qseparoid([p for _, p in model.partitions], seed=args.seed)
         lines.extend(report.lines())
         ok = report.passed
     elif what == "tree":
         if not model.trees:
             raise ParseError("model has no tree stanza")
+        from . import treecomp as tc
         named = model.trees[0]
         tree = named.structure()
         jt = tc.is_join_tree(tree)
@@ -154,7 +165,8 @@ def cmd_check(model: Model, args, comparator: Comparator) -> tuple[list[str], in
             raise ParseError("model has no sequence stanza")
         name, seq = model.sequences[0]
         lines.append(f"sequence {name}: {len(seq)} steps")
-        bad = tc.first_sequence_violation(seq)
+        from .treecomp import first_sequence_violation
+        bad = first_sequence_violation(seq)
         if bad is None:
             lines.append("valid: yes")
             lines.append("result: pass")
@@ -166,17 +178,19 @@ def cmd_check(model: Model, args, comparator: Comparator) -> tuple[list[str], in
 
 
 def _combined_potential(model: Model, comparator: Comparator,
-                        cap: int) -> bf.SetPotential:
+                        cap: int) -> SetPotential:
+    from .belief import dempster_combine
     pots = [p for _, p in model.potentials]
     if not pots:
         raise ParseError("model has no potential stanzas")
     acc = pots[0]
     for p in pots[1:]:
-        acc = bf.dempster_combine(acc, p, comparator=comparator, cap=cap)
+        acc = dempster_combine(acc, p, comparator=comparator, cap=cap)
     return acc
 
 
 def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str], int]:
+    from . import belief as bf
     op = args.op
     lines: list[str] = []
     if op == "combine":
@@ -209,9 +223,11 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
                     f"{tag}: pl {format_value(pl)} dual {format_value(1.0 - sp_c)}"
                 )
     elif op == "moebius":
-        ops = tc.SetPotentialOps(model.catalog)
+        from .treecomp import SetPotentialOps
+        ops = SetPotentialOps(model.catalog)
+        cap = bf.DEFAULT_SUBSET_CAP if args.subset_cap is None else args.subset_cap
         for name, pot in model.potentials:
-            subsets = bf.all_focal_sets(model.catalog, pot.domain, cap=args.subset_cap)
+            subsets = bf.all_focal_sets(model.catalog, pot.domain, cap=cap)
             lines.append(
                 f"moebius {name} {pot.domain}: {len(subsets)} subsets"
             )
@@ -223,9 +239,9 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
                     f"  q {_fmt_focal(model, fs)}: {format_value(qtable[fs])}"
                 )
             back_b = bf.belief_to_mass(model.catalog, pot.domain, btable,
-                                       cap=args.subset_cap, comparator=comparator)
+                                       cap=cap, comparator=comparator)
             back_q = bf.commonality_to_mass(model.catalog, pot.domain, qtable,
-                                            cap=args.subset_cap, comparator=comparator)
+                                            cap=cap, comparator=comparator)
             for label, back in (("belief", back_b), ("commonality", back_q)):
                 dev = ops.deviation(pot, back)
                 lines.append(f"  roundtrip {label}: max deviation {format_value(dev)}")
@@ -270,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--op", required=True,
                     choices=("combine", "support", "plausibility", "moebius"))
-    sp.add_argument("--subset-cap", type=int, default=bf.DEFAULT_SUBSET_CAP)
+    sp.add_argument("--subset-cap", type=int, default=None)  # belief.DEFAULT_SUBSET_CAP
 
     sp = sub.add_parser("render", help="print the canonical model text")
     common(sp)
@@ -311,8 +327,8 @@ def main(argv=None) -> int:
         if args.tolerance:
             comparator = _comparator(args.tolerance)
         for flag, cap in (("--cap", args.cap),
-                          ("--subset-cap", getattr(args, "subset_cap", 1))):
-            if cap < 1:  # every domain has at least one configuration
+                          ("--subset-cap", getattr(args, "subset_cap", None))):
+            if cap is not None and cap < 1:  # every domain has at least one configuration
                 raise ParseError(f"bad {flag} {cap}: must be >= 1")
         text = _read_model(args.model)
         model = parse_model(text, comparator)

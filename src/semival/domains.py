@@ -63,17 +63,24 @@ class Domain:
     def __or__(self, other: "Domain") -> "Domain":
         return Domain(self.names + other.names)
 
+    @staticmethod
+    def _presorted(names: tuple[str, ...]) -> "Domain":
+        """A domain on names that are already sorted and unique; no re-sort."""
+        out = object.__new__(Domain)
+        object.__setattr__(out, "names", names)
+        return out
+
     def __and__(self, other: "Domain") -> "Domain":
         keep = set(other.names)
-        return Domain(tuple(n for n in self.names if n in keep))
+        return self._presorted(tuple(n for n in self.names if n in keep))
 
     def __sub__(self, other: "Domain") -> "Domain":
         drop = set(other.names)
-        return Domain(tuple(n for n in self.names if n not in drop))
+        return self._presorted(tuple(n for n in self.names if n not in drop))
 
     def __le__(self, other: "Domain") -> bool:
         """Subset test; the partial order of the domain lattice."""
-        return set(self.names) <= set(other.names)
+        return set(other.names).issuperset(self.names)
 
     def __str__(self) -> str:
         return "{" + " ".join(self.names) + "}" if self.names else "{}"
@@ -126,6 +133,10 @@ class VariableCatalog:
     def _by_name(self) -> dict[str, Variable]:
         return {v.name: v for v in self.variables}
 
+    @cached_property
+    def _sizes(self) -> dict[str, int]:
+        return {v.name: len(v.frame) for v in self.variables}
+
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
@@ -136,7 +147,10 @@ class VariableCatalog:
             raise DomainError(f"unknown variable {name!r}") from None
 
     def size(self, name: str) -> int:
-        return len(self.frame(name))
+        try:
+            return self._sizes[name]
+        except KeyError:
+            raise DomainError(f"unknown variable {name!r}") from None
 
     def domain(self, *names: str) -> Domain:
         d = Domain(tuple(names))
@@ -154,9 +168,12 @@ class VariableCatalog:
         return Domain(tuple(v.name for v in self.variables))
 
     def config_count(self, d: Domain, cap: int | None = DEFAULT_CONFIG_CAP) -> int:
+        sizes = self._sizes
         n = 1
         for name in d.names:
-            n *= self.size(name)
+            if name not in sizes:
+                raise DomainError(f"unknown variable {name!r}")
+            n *= sizes[name]
             if cap is not None and n > cap:
                 raise CapacityError(
                     f"domain {d} has more than {cap} configurations"

@@ -12,15 +12,18 @@ text that parses back to structurally equal objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import belief as bf
 from .compare import DEFAULT_COMPARATOR, Comparator
 from .domains import Domain, VariableCatalog
 from .errors import ParseError
-from .partitions import Partition, Universe
 from .semiring import Semiring, format_value, get_instance
-from .treecomp import EliminationSequence, LabeledTree
-from .valuation import Valuation
+
+if TYPE_CHECKING:  # imported where a stanza needs them, so a command loads only its own
+    from .belief import FocalSet, SetPotential
+    from .partitions import Partition, Universe
+    from .treecomp import EliminationSequence, LabeledTree
+    from .valuation import Valuation
 
 
 @dataclass
@@ -31,6 +34,7 @@ class NamedTree:
     assigned: dict[str, int] = field(default_factory=dict)  # factor name -> node
 
     def structure(self) -> LabeledTree:
+        from .treecomp import LabeledTree
         return LabeledTree(self.labels, self.edges)
 
     def with_factors(self, factor_names: list[str]) -> LabeledTree:
@@ -39,6 +43,7 @@ class NamedTree:
             raise ParseError(
                 f"tree {self.name!r} does not assign factors: {', '.join(missing)}"
             )
+        from .treecomp import LabeledTree
         return LabeledTree(
             self.labels, self.edges, tuple(self.assigned[n] for n in factor_names)
         )
@@ -49,18 +54,28 @@ class Model:
     catalog: VariableCatalog
     semiring_name: str | None = None
     factors: list[tuple[str, Valuation]] = field(default_factory=list)
-    potentials: list[tuple[str, bf.SetPotential]] = field(default_factory=list)
+    potentials: list[tuple[str, SetPotential]] = field(default_factory=list)
     universes: dict[str, Universe] = field(default_factory=dict)
     partitions: list[tuple[str, Partition]] = field(default_factory=list)
     trees: list[NamedTree] = field(default_factory=list)
     sequences: list[tuple[str, EliminationSequence]] = field(default_factory=list)
     queries: list[Domain] = field(default_factory=list)
-    hypotheses: list[tuple[str, bf.FocalSet]] = field(default_factory=list)
+    hypotheses: list[tuple[str, FocalSet]] = field(default_factory=list)
+    _semirings: dict[tuple[str, Comparator], Semiring] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def semiring(self, comparator: Comparator = DEFAULT_COMPARATOR) -> Semiring:
+        """The declared semiring: one shared instance per comparator.
+
+        The parser builds every factor on the instance for its comparator,
+        so a solve with the same comparator combines one ``Semiring`` object.
+        """
         if self.semiring_name is None:
             raise ParseError("model declares no semiring")
-        return get_instance(self.semiring_name, comparator)
+        key = (self.semiring_name, comparator)
+        if key not in self._semirings:
+            self._semirings[key] = get_instance(*key)
+        return self._semirings[key]
 
     def factor_values(self) -> list[Valuation]:
         return [v for _, v in self.factors]
@@ -177,11 +192,11 @@ class _Parser:
         model = self.need_model()
         if len(toks) != 2:
             raise ParseError("expected 'semiring NAME'", line_no)
+        model.semiring_name = toks[1]
         try:
-            get_instance(toks[1])  # validate early
+            model.semiring(self.comparator)  # validate early
         except Exception as exc:
             raise ParseError(str(exc), line_no) from None
-        model.semiring_name = toks[1]
 
     def _domain_from(self, names, line_no) -> Domain:
         try:
@@ -211,6 +226,7 @@ class _Parser:
                 f"factor {name!r} table has {len(values)} values, "
                 f"domain {domain} needs {expected}", line_no,
             )
+        from .valuation import Valuation
         model.factors.append((name, Valuation(self.catalog, sr, domain, tuple(values))))
 
     def _stanza_potential(self, line_no, toks):
@@ -219,6 +235,7 @@ class _Parser:
             raise ParseError("expected 'potential NAME on VAR...'", line_no)
         name = toks[1]
         domain = self._domain_from(toks[3:] if len(toks) > 2 else [], line_no)
+        from . import belief as bf
         kind = bf.RAW
         items: list[tuple[bf.FocalSet, float]] = []
         for no, t in self.block_lines():
@@ -253,6 +270,7 @@ class _Parser:
         name = toks[1]
         if name in model.universes:
             raise ParseError(f"duplicate universe {name!r}", line_no)
+        from .partitions import Universe
         try:
             model.universes[name] = Universe(tuple(toks[3:]))
         except Exception as exc:
@@ -279,6 +297,7 @@ class _Parser:
                 raise ParseError("unbalanced '{' in block list", line_no)
             blocks.append(tuple(text[1:close].split()))
             text = text[close + 1:].strip()
+        from .partitions import Partition
         try:
             part = Partition.of(uni, blocks)
         except Exception as exc:
@@ -346,6 +365,7 @@ class _Parser:
             raise ParseError("the last step takes no pointer", line_no)
         if any(p == -1 for p in pointers[:-1]):
             raise ParseError("every step but the last needs '-> K'", line_no)
+        from .treecomp import EliminationSequence
         try:
             seq = EliminationSequence(tuple(domains), tuple(pointers[:-1]))
         except Exception as exc:
@@ -368,9 +388,8 @@ class _Parser:
         dom_text, cfg_text = rest.split(":", 1)
         domain = self._domain_from(dom_text.split(), line_no)
         configs = _parse_configs(self.catalog, domain, cfg_text, line_no)
-        model.hypotheses.append(
-            (toks[1], bf.FocalSet.of(self.catalog, domain, configs))
-        )
+        from .belief import FocalSet
+        model.hypotheses.append((toks[1], FocalSet.of(self.catalog, domain, configs)))
 
 
 def parse_model(text: str, comparator: Comparator = DEFAULT_COMPARATOR) -> Model:

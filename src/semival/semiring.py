@@ -29,11 +29,13 @@ import re
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import add, mul
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .compare import DEFAULT_COMPARATOR, Comparator
 from .errors import DomainError
-from .reports import CheckReport, run_law
+
+if TYPE_CHECKING:
+    from .reports import CheckReport
 
 NEG_INF = float("-inf")
 
@@ -239,6 +241,7 @@ def check_semiring_axioms(
     Every law is reported separately with a witness for the first
     failure; the report is deterministic given the seed.
     """
+    from .reports import CheckReport, run_law
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = random.Random(seed)

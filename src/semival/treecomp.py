@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Sequence
 
-from . import belief as bf
 from . import domains as dm
 from . import valuation as va
 from .domains import Domain, VariableCatalog
@@ -51,10 +50,8 @@ from .semiring import Semiring
 
 
 def join_of(domains: Sequence[Domain]) -> Domain:
-    out = dm.EMPTY_DOMAIN
-    for d in domains:
-        out = out | d
-    return out
+    """The union of the domains: one set union, sorted once."""
+    return Domain(tuple(set().union(*(d.names for d in domains))))
 
 
 @dataclass(frozen=True)
@@ -400,17 +397,19 @@ class SetPotentialOps:
     supports_idempotent_distribute = False
 
     def __init__(self, cat: VariableCatalog, cap: int | None = dm.DEFAULT_CONFIG_CAP):
+        from . import belief  # loaded on first use: dense solves never need it
+        self._bf = belief
         self.catalog = cat
         self.cap = cap
 
     def combine(self, a, b):
-        return bf.combine_potentials(a, b, cap=self.cap)
+        return self._bf.combine_potentials(a, b, cap=self.cap)
 
     def unit(self, d: Domain):
-        return bf.vacuous(self.catalog, d)
+        return self._bf.vacuous(self.catalog, d)
 
     def transport(self, a, d: Domain):
-        return bf.transport_potential(a, d, cap=self.cap)
+        return self._bf.transport_potential(a, d, cap=self.cap)
 
     message = solve_to = transport
 

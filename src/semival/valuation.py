@@ -32,13 +32,14 @@ from typing import TYPE_CHECKING, Sequence
 from . import domains as dm
 from .domains import Domain, VariableCatalog
 from .errors import CapabilityError, DomainError, MassError, MismatchError
-from .reports import CheckReport, run_law
 from .semiring import Semiring
 
 import random
 
 if TYPE_CHECKING:
     import numpy
+
+    from .reports import CheckReport
 
 #: Smallest table stored as a numpy array (see the module docstring).
 #: Importing numpy costs about 115 ms, which a job with tables of 3^9
@@ -336,6 +337,7 @@ def check_valuation_axioms(
     Laws gated on missing capabilities are reported as not applicable
     rather than silently skipped.
     """
+    from .reports import CheckReport, run_law
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = random.Random(seed)

@@ -184,6 +184,14 @@ def cellwise_extend(a, t):
     return tuple(values[i] for i in odometer_index_map(a.catalog, t, a.domain))
 
 
+def fold_join_of(domains):
+    """The join as a left fold of ``|``, re-sorting the growing union each step."""
+    out = EMPTY_DOMAIN
+    for d in domains:
+        out = out | d
+    return out
+
+
 def subtree_nodes(tree, v: int, w: int) -> list[int]:
     """Nodes of the subtree containing ``w`` after removing ``v``."""
     seen = {v, w}

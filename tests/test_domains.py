@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from semival.domains import (
     restriction_index_map,
 )
 from semival.errors import CapacityError, DomainError
+
+import helpers
 
 
 def test_catalog_rejects_duplicates_and_empty_frames():
@@ -28,6 +31,47 @@ def test_domain_is_sorted_and_deduplicated():
     assert (d - sv.Domain.of("a")).names == ("b",)
     assert sv.Domain.of("a") <= d
     assert not d <= sv.Domain.of("a")
+
+
+def test_domain_meet_difference_and_order_match_set_references():
+    rng = random.Random(5)
+    names = [f"v{i}" for i in range(12)] + ["a", "B", "v1_"]
+    for _ in range(2000):
+        a = sv.Domain(tuple(rng.sample(names, rng.randint(0, 6))))
+        b = sv.Domain(tuple(rng.sample(names, rng.randint(0, 6))))
+        sa, sb = set(a.names), set(b.names)
+        for got, want in ((a & b, sa & sb), (a - b, sa - sb)):
+            # built without re-sorting, yet equal and hash-equal to a fresh domain
+            assert got.names == tuple(sorted(want))
+            assert got == sv.Domain(tuple(want)) and hash(got) == hash(sv.Domain(tuple(want)))
+        assert (a <= b) is (sa <= sb)
+        assert (a & a) == a and (a - a) == sv.EMPTY_DOMAIN and a <= a
+
+
+def test_config_count_and_size_match_frame_lengths():
+    rng = random.Random(6)
+    for _ in range(1000):
+        cat = helpers.random_catalog(rng, max_vars=6, max_frame=5)
+        d = helpers.random_domain(rng, cat, max_size=6)
+        count = math.prod(len(cat.frame(n)) for n in d.names)
+        assert cat.config_count(d, cap=None) == count
+        assert all(cat.size(n) == len(cat.frame(n)) for n in d.names)
+        cap = rng.randint(1, 60)
+        if count > cap:
+            with pytest.raises(CapacityError) as exc:
+                cat.config_count(d, cap=cap)
+            assert str(exc.value) == f"domain {d} has more than {cap} configurations"
+        else:
+            assert cat.config_count(d, cap=cap) == count
+    cat = sv.VariableCatalog.of({"x": ("0", "1"), "y": ("0", "1", "2")})
+    for call in (lambda: cat.size("zz"), lambda: cat.frame("zz"),
+                 lambda: cat.config_count(sv.Domain(("x", "zz")))):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == "unknown variable 'zz'"
+    # the cap is checked as the product grows, before a later unknown name
+    with pytest.raises(CapacityError):
+        cat.config_count(sv.Domain(("x", "y", "zz")), cap=5)
 
 
 def test_cond_indep_examples():

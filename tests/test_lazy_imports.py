@@ -1,0 +1,115 @@
+"""Each command loads only the semival modules it runs.
+
+Every job is a fresh process, so compiling a module it never calls is pure
+start-up cost.  Each command runs in a fresh interpreter, which then lists
+the ``semival.*`` modules in ``sys.modules``.  The model reader loads a
+stanza's module when it meets the stanza, so each probe model holds only
+the stanzas its command reads.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).parent
+SRC = HERE.parent / "src"
+
+PROBE = (
+    "import sys\n"
+    "from semival import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print('loaded:', *sorted(m for m in sys.modules if m.startswith('semival.')))\n"
+    "sys.exit(code)\n"
+)
+
+MODELS = {
+    "semiring.sv": "catalog\n  var v : 0 1\nend\nsemiring tropical\n",
+    "partitions.sv": (
+        "catalog\n  var v : 0 1\nend\n"
+        "universe u : 1 2 3\n"
+        "partition left of u : {1 2} {3}\n"
+        "partition right of u : {1} {2 3}\n"
+        "partition fine of u : {1} {2} {3}\n"
+    ),
+}
+
+# (argv, modules the command must not load)
+CASES = {
+    "solve": (["solve", "chain.sv", "--oracle"], {"belief", "partitions", "reports"}),
+    "check-semiring": (["check", "semiring.sv", "--what", "semiring", "--samples", "50"],
+                       {"treecomp", "valuation", "belief", "partitions"}),
+    "check-qseparoid": (["check", "partitions.sv", "--what", "qseparoid"],
+                        {"treecomp", "valuation", "belief"}),
+    **{f"evidence-{op}": (["evidence", "evidence.sv", "--op", op], {"partitions"})
+       for op in ("combine", "support", "plausibility", "moebius")},
+}
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run(args, cwd) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("models")
+    for name, text in MODELS.items():
+        (d / name).write_text(text)
+    for name in ("chain.sv", "evidence.sv"):
+        (d / name).write_text((HERE / "models" / name).read_text())
+    return d
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_command_loads_only_what_it_runs(case, workdir):
+    argv, absent = CASES[case]
+    proc = _run(["-c", PROBE, *argv], workdir)
+    assert proc.returncode == 0, proc.stderr
+    *report, probe = proc.stdout.splitlines()
+    assert report[-1] in ("status: ok", "result: pass"), proc.stdout
+    loaded = {m.removeprefix("semival.") for m in probe.split()[1:]}
+    assert not loaded & absent, sorted(loaded & absent)
+
+
+def test_package_import_loads_no_submodule_and_resolves_them_lazily(workdir):
+    code = (
+        "import sys\n"
+        "import semival\n"
+        "before = sorted(m for m in sys.modules if m.startswith('semival.'))\n"
+        "assert before == [], before\n"
+        "tc = semival.treecomp\n"
+        "assert tc is sys.modules['semival.treecomp'] and tc.join_of\n"
+        "assert semival.LabeledTree is tc.LabeledTree\n"
+        "assert 'semival.belief' not in sys.modules\n"
+        "try:\n"
+        "    semival.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+        "print('ok')\n"
+    )
+    proc = _run(["-c", code], workdir)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_every_exported_name_resolves():
+    import semival
+
+    assert len(set(semival.__all__)) == len(semival.__all__)
+    for name in semival.__all__:
+        assert getattr(semival, name) is not None, name
+    namespace = {}
+    exec("from semival import *", namespace)
+    assert set(semival.__all__) <= set(namespace)
+    assert namespace["Valuation"] is semival.valuation.Valuation
+    assert namespace["SetPotentialOps"] is semival.treecomp.SetPotentialOps

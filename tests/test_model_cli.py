@@ -361,6 +361,40 @@ def test_query_flag_overrides_model_queries():
     assert "result {x}" not in out
 
 
+@pytest.mark.parametrize("query", ["zz", "x zz", "x,zz"])
+def test_unknown_query_flag_variable_is_a_parse_error(query):
+    # as it is in a model's query stanza
+    code, out, err = run_cli(["solve", "models/chain.sv", "--query", query])
+    assert code == 2 and out == ""
+    assert err == f"semival: error: bad --query {query!r}: unknown variable 'zz'\n"
+
+
+def _many_factor_model(factors: int, semiring: str) -> str:
+    lines = ["catalog", "  var x : 0 1", "  var y : 0 1", "end", f"semiring {semiring}"]
+    for i in range(factors):
+        lines += [f"factor f{i} on x y", "  table 1 0 0 1", "end"]
+    return "\n".join(lines + ["query x"]) + "\n"
+
+
+@pytest.mark.parametrize("semiring", ["boolean", "arithmetic", "chain(3)"])
+@pytest.mark.parametrize("comparator", [sv.DEFAULT_COMPARATOR, sv.Comparator(rel=0.1, abs=0.0)])
+def test_factors_share_one_semiring_per_parse(monkeypatch, semiring, comparator):
+    from semival import semiring as sr_module
+    calls = []
+    real = sr_module.builtin_instances
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sr_module, "builtin_instances", counted)
+    model = parse_model(_many_factor_model(40, semiring), comparator)
+    # a solve asks the model for its semiring and must get the factors' one
+    shared = model.semiring(comparator)
+    assert all(v.semiring is shared for _, v in model.factors)
+    assert len(calls) <= 2
+
+
 NON_UTF8_MODELS = {
     "table": b"catalog\n  var x : 0 1\nend\nsemiring arithmetic\n"
              b"factor f on x\n  table 0.5 \xff\nend\nquery x\n",

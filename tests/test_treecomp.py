@@ -27,6 +27,19 @@ def test_tree_validation():
     assert oracles.subtree_nodes(tree, 1, 0) == [0]
 
 
+def test_join_of_matches_the_left_fold():
+    rng = random.Random(8)
+    names = [f"v{i}" for i in range(12)] + ["a", "B", "v1_"]
+    cases = [[], [D()], [D(), D()], [D("v2"), D(), D("v10", "v2")]]
+    while len(cases) < 2000:
+        cases.append([D(*rng.sample(names, rng.randint(0, 5)))
+                      for _ in range(rng.randint(0, 8))])
+    for domains in cases:
+        got = tc.join_of(domains)
+        want = oracles.fold_join_of(domains)
+        assert type(got) is sv.Domain and got.names == want.names, domains
+
+
 def test_is_join_tree_examples():
     single = sv.LabeledTree((D("x", "y"),), ())
     assert sv.is_join_tree(single)
