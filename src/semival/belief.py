@@ -69,8 +69,7 @@ class FocalSet:
 
     @classmethod
     def full(cls, cat: VariableCatalog, domain: Domain) -> "FocalSet":
-        configs = tuple(c.values for c in dm.enumerate_configs(cat, domain))
-        return cls(domain, configs)
+        return cls(domain, tuple(dm.config_values(cat, domain)))
 
     @classmethod
     def empty(cls, domain: Domain) -> "FocalSet":
@@ -160,11 +159,9 @@ def _index_sets(cat: VariableCatalog, p: SetPotential) -> list[tuple[frozenset, 
     return out
 
 
-def _from_indices(cat: VariableCatalog, domain: Domain, indices) -> FocalSet:
-    configs = tuple(
-        dm.config_from_index(cat, domain, i).values for i in sorted(indices)
-    )
-    return FocalSet(domain, configs)
+def _from_indices(domain: Domain, configs: list[tuple[int, ...]], indices) -> FocalSet:
+    """The focal set of ``domain`` at row-major ``indices`` into its ``configs``."""
+    return FocalSet(domain, tuple(configs[i] for i in sorted(indices)))
 
 
 def combine_potentials(
@@ -180,7 +177,8 @@ def combine_potentials(
         raise MismatchError("potentials use different catalogs")
     cat = m1.catalog
     u = m1.domain | m2.domain
-    n = cat.config_count(u, cap=cap)
+    configs = dm.config_values(cat, u, cap)
+    n = len(configs)
     r1 = dm.restriction_index_map(cat, u, m1.domain)
     r2 = dm.restriction_index_map(cat, u, m2.domain)
     out: dict[frozenset, float] = {}
@@ -191,7 +189,7 @@ def combine_potentials(
                 i for i in range(n) if r1[i] in s1 and r2[i] in s2
             )
             out[meet] = out.get(meet, 0.0) + mass1 * mass2
-    items = [(_from_indices(cat, u, idx), mass) for idx, mass in out.items()]
+    items = [(_from_indices(u, configs, idx), mass) for idx, mass in out.items()]
     return set_potential(cat, u, items, RAW)
 
 
@@ -205,13 +203,14 @@ def transport_potential(
         return m
     u = m.domain | t
     n = cat.config_count(u, cap=cap)
+    configs = dm.config_values(cat, t, cap=None)
     rd = dm.restriction_index_map(cat, u, m.domain)
     rt = dm.restriction_index_map(cat, u, t)
     out: dict[frozenset, float] = {}
     for s, mass in _index_sets(cat, m):
         image = frozenset(rt[i] for i in range(n) if rd[i] in s)
         out[image] = out.get(image, 0.0) + mass
-    items = [(_from_indices(cat, t, idx), mass) for idx, mass in out.items()]
+    items = [(_from_indices(t, configs, idx), mass) for idx, mass in out.items()]
     return set_potential(cat, t, items, RAW)
 
 
@@ -264,7 +263,7 @@ def all_focal_sets(cat: VariableCatalog, domain: Domain,
     k = cat.config_count(domain, cap=None)
     if cap is not None and k > cap:
         raise CapacityError(f"frame of {domain} has {k} > {cap} configurations")
-    configs = [c.values for c in dm.enumerate_configs(cat, domain)]
+    configs = dm.config_values(cat, domain)
     out = []
     for mask in range(1 << k):
         members = tuple(configs[i] for i in range(k) if mask >> i & 1)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from .compare import Comparator, DEFAULT_COMPARATOR
 from .domains import DEFAULT_CONFIG_CAP, Domain
 from .errors import CapabilityError, DomainError, ParseError, SemivalError
-from .model import Model, config_text, parse_model, render_model
+from .model import Model, focal_text, parse_model, render_model
 from .semiring import format_value
 
 if TYPE_CHECKING:  # each command imports the modules it runs
@@ -29,8 +29,7 @@ VERSION = "0.1.0"
 
 
 def _fmt_focal(model: Model, fs: FocalSet) -> str:
-    cfgs = (config_text(model.catalog, fs.domain, values) for values in fs.configs)
-    return "{" + " ".join(cfgs) + "}"
+    return "{" + focal_text(model.catalog, fs) + "}"
 
 
 def _potential_lines(model: Model, pot: SetPotential, prefix: str) -> list[str]:
@@ -88,7 +87,7 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
 
     if model.trees:
         named = model.trees[0]
-        tree = named.with_factors([n for n, _ in (model.factors or model.potentials)])
+        tree = named.structure([n for n, _ in (model.factors or model.potentials)])
         lines.append(f"tree: {named.name} ({len(tree)} nodes, given)")
     else:
         tree = tc.build_covering_join_tree(

@@ -18,6 +18,7 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -195,9 +196,6 @@ class Configuration:
                 f"for domain of size {len(self.domain)}"
             )
 
-    def labels(self, cat: VariableCatalog) -> tuple[str, ...]:
-        return tuple(cat.frame(n)[v] for n, v in zip(self.domain.names, self.values))
-
 
 def restrict(c: Configuration, s: Domain) -> Configuration:
     """Project a configuration onto a subdomain (positional copy)."""
@@ -236,26 +234,23 @@ def config_from_index(cat: VariableCatalog, d: Domain, i: int) -> Configuration:
     return Configuration(d, tuple(values))
 
 
+def config_values(
+    cat: VariableCatalog, d: Domain, cap: int | None = DEFAULT_CONFIG_CAP
+) -> list[tuple[int, ...]]:
+    """The value-index tuples of all configurations of ``d``, row-major.
+
+    The empty domain yields exactly one empty tuple.
+    """
+    cat.check_domain(d)
+    cat.config_count(d, cap=cap)
+    return list(itertools.product(*(range(cat.size(name)) for name in d.names)))
+
+
 def enumerate_configs(
     cat: VariableCatalog, d: Domain, cap: int | None = DEFAULT_CONFIG_CAP
 ) -> list[Configuration]:
-    """All configurations of ``d`` in row-major index order.
-
-    The empty domain yields exactly one empty configuration.
-    """
-    cat.check_domain(d)
-    n = cat.config_count(d, cap=cap)
-    sizes = [cat.size(name) for name in d.names]
-    out = []
-    digits = [0] * len(d)
-    for _ in range(n):
-        out.append(Configuration(d, tuple(digits)))
-        for p in range(len(d) - 1, -1, -1):
-            digits[p] += 1
-            if digits[p] < sizes[p]:
-                break
-            digits[p] = 0
-    return out
+    """All configurations of ``d`` in row-major index order."""
+    return [Configuration(d, values) for values in config_values(cat, d, cap)]
 
 
 def _offsets(sizes, contribs) -> list[int]:

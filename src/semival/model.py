@@ -20,6 +20,8 @@ from .errors import ParseError
 from .semiring import Semiring, format_value, get_instance
 
 if TYPE_CHECKING:  # imported where a stanza needs them, so a command loads only its own
+    from collections.abc import Sequence
+
     from .belief import FocalSet, SetPotential
     from .partitions import Partition, Universe
     from .treecomp import EliminationSequence, LabeledTree
@@ -33,11 +35,8 @@ class NamedTree:
     edges: tuple[tuple[int, int], ...]
     assigned: dict[str, int] = field(default_factory=dict)  # factor name -> node
 
-    def structure(self) -> LabeledTree:
-        from .treecomp import LabeledTree
-        return LabeledTree(self.labels, self.edges)
-
-    def with_factors(self, factor_names: list[str]) -> LabeledTree:
+    def structure(self, factor_names: Sequence[str] = ()) -> LabeledTree:
+        """The labeled tree, holding each named factor at its assigned node."""
         missing = [n for n in factor_names if n not in self.assigned]
         if missing:
             raise ParseError(
@@ -81,10 +80,6 @@ class Model:
         return [v for _, v in self.factors]
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
-
-
 def _index(tok: str, line_no: int) -> int:
     try:
         return int(tok)
@@ -92,19 +87,28 @@ def _index(tok: str, line_no: int) -> int:
         raise ParseError(f"expected an integer index, got {tok!r}", line_no) from None
 
 
+def _groups(text: str, brackets: str, what: str, line_no: int):
+    """The tokens of each bracketed group of ``(a b) (c)`` or ``{a b} {c}``.
+
+    A generator, so a bad group is reported before a later unbalanced one.
+    """
+    open_, close_ = brackets
+    text = text.strip()
+    while text:
+        if not text.startswith(open_):
+            raise ParseError(f"expected '{open_}' in {what}: {text!r}", line_no)
+        end = text.find(close_)
+        if end < 0:
+            raise ParseError(f"unbalanced '{open_}' in {what}", line_no)
+        yield text[1:end].split()
+        text = text[end + 1:].strip()
+
+
 def _parse_configs(cat: VariableCatalog, domain: Domain, text: str,
                    line_no: int) -> list[tuple[int, ...]]:
     """Parse ``(a b) (c d)`` into value-index tuples over ``domain``."""
-    text = text.strip()
     configs = []
-    while text:
-        if not text.startswith("("):
-            raise ParseError(f"expected '(' in configuration list: {text!r}", line_no)
-        close = text.find(")")
-        if close < 0:
-            raise ParseError("unbalanced '(' in configuration list", line_no)
-        labels = text[1:close].split()
-        text = text[close + 1:].strip()
+    for labels in _groups(text, "()", "configuration list", line_no):
         if len(labels) != len(domain):
             raise ParseError(
                 f"configuration ({' '.join(labels)}) has {len(labels)} values, "
@@ -130,31 +134,23 @@ class _Parser:
         self.catalog: VariableCatalog | None = None
         self.model: Model | None = None
 
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.pos)
-
     def next_line(self) -> tuple[int, list[str]] | None:
         while self.pos < len(self.lines):
             raw = self.lines[self.pos]
             self.pos += 1
             body = raw.split("#", 1)[0].strip()
             if body:
-                return self.pos, _tokens(body)
+                return self.pos, body.split()
         return None
 
     def block_lines(self):
         while True:
             item = self.next_line()
             if item is None:
-                raise self.error("unterminated stanza (missing 'end')")
+                raise ParseError("unterminated stanza (missing 'end')", self.pos)
             if item[1] == ["end"]:
                 return
             yield item
-
-    def need_model(self) -> Model:
-        if self.model is None:
-            raise self.error("the catalog stanza must come first")
-        return self.model
 
     def parse(self) -> Model:
         while True:
@@ -166,7 +162,14 @@ class _Parser:
             handler = getattr(self, f"_stanza_{head.replace('-', '_')}", None)
             if handler is None:
                 raise ParseError(f"unknown stanza {head!r}", line_no)
-            handler(line_no, toks)
+            if self.model is None and head != "catalog":
+                raise ParseError("the catalog stanza must come first", line_no)
+            try:
+                handler(line_no, toks)
+            except ParseError:
+                raise
+            except Exception as exc:  # what a stanza declares is invalid
+                raise ParseError(str(exc), line_no) from None
         if self.model is None:
             raise ParseError("model has no catalog stanza")
         return self.model
@@ -189,14 +192,10 @@ class _Parser:
         self.model = Model(catalog=self.catalog)
 
     def _stanza_semiring(self, line_no, toks):
-        model = self.need_model()
         if len(toks) != 2:
             raise ParseError("expected 'semiring NAME'", line_no)
-        model.semiring_name = toks[1]
-        try:
-            model.semiring(self.comparator)  # validate early
-        except Exception as exc:
-            raise ParseError(str(exc), line_no) from None
+        self.model.semiring_name = toks[1]
+        self.model.semiring(self.comparator)  # validate early
 
     def _domain_from(self, names, line_no) -> Domain:
         try:
@@ -204,12 +203,15 @@ class _Parser:
         except Exception as exc:
             raise ParseError(str(exc), line_no) from None
 
-    def _stanza_factor(self, line_no, toks):
-        model = self.need_model()
+    def _named_domain(self, toks, line_no) -> tuple[str, Domain]:
+        """The ``NAME on VAR...`` head of a factor or potential stanza."""
         if len(toks) < 2 or (len(toks) > 2 and toks[2] != "on"):
-            raise ParseError("expected 'factor NAME on VAR...'", line_no)
-        name = toks[1]
-        domain = self._domain_from(toks[3:] if len(toks) > 2 else [], line_no)
+            raise ParseError(f"expected '{toks[0]} NAME on VAR...'", line_no)
+        return toks[1], self._domain_from(toks[3:], line_no)
+
+    def _stanza_factor(self, line_no, toks):
+        model = self.model
+        name, domain = self._named_domain(toks, line_no)
         sr = model.semiring(self.comparator)
         values = []
         for no, t in self.block_lines():
@@ -220,7 +222,7 @@ class _Parser:
                     values.append(sr.parse(tok))
                 except Exception as exc:
                     raise ParseError(str(exc), no) from None
-        expected = self.catalog.config_count(domain)
+        expected = self.catalog.config_count(domain, cap=None)  # the table bounds the work
         if len(values) != expected:
             raise ParseError(
                 f"factor {name!r} table has {len(values)} values, "
@@ -230,11 +232,7 @@ class _Parser:
         model.factors.append((name, Valuation(self.catalog, sr, domain, tuple(values))))
 
     def _stanza_potential(self, line_no, toks):
-        model = self.need_model()
-        if len(toks) < 2 or (len(toks) > 2 and toks[2] != "on"):
-            raise ParseError("expected 'potential NAME on VAR...'", line_no)
-        name = toks[1]
-        domain = self._domain_from(toks[3:] if len(toks) > 2 else [], line_no)
+        name, domain = self._named_domain(toks, line_no)
         from . import belief as bf
         kind = bf.RAW
         items: list[tuple[bf.FocalSet, float]] = []
@@ -256,28 +254,22 @@ class _Parser:
                 items.append((bf.FocalSet.of(self.catalog, domain, configs), mass))
             else:
                 raise ParseError(f"unknown potential line {t[0]!r}", no)
-        try:
-            pot = bf.set_potential(self.catalog, domain, items, kind,
-                                   comparator=self.comparator)
-        except Exception as exc:
-            raise ParseError(str(exc), line_no) from None
-        model.potentials.append((name, pot))
+        pot = bf.set_potential(self.catalog, domain, items, kind,
+                               comparator=self.comparator)
+        self.model.potentials.append((name, pot))
 
     def _stanza_universe(self, line_no, toks):
-        model = self.need_model()
+        model = self.model
         if len(toks) < 4 or toks[2] != ":":
             raise ParseError("expected 'universe NAME : ELEMENT...'", line_no)
         name = toks[1]
         if name in model.universes:
             raise ParseError(f"duplicate universe {name!r}", line_no)
         from .partitions import Universe
-        try:
-            model.universes[name] = Universe(tuple(toks[3:]))
-        except Exception as exc:
-            raise ParseError(str(exc), line_no) from None
+        model.universes[name] = Universe(tuple(toks[3:]))
 
     def _stanza_partition(self, line_no, toks):
-        model = self.need_model()
+        model = self.model
         if len(toks) < 5 or toks[2] != "of" or ":" not in toks:
             raise ParseError(
                 "expected 'partition NAME of UNIVERSE : {a b} {c}'", line_no
@@ -287,31 +279,17 @@ class _Parser:
         if uni is None:
             raise ParseError(f"unknown universe {toks[3]!r}", line_no)
         rest = " ".join(toks[toks.index(":") + 1:])
-        blocks = []
-        text = rest.strip()
-        while text:
-            if not text.startswith("{"):
-                raise ParseError(f"expected '{{' in block list: {text!r}", line_no)
-            close = text.find("}")
-            if close < 0:
-                raise ParseError("unbalanced '{' in block list", line_no)
-            blocks.append(tuple(text[1:close].split()))
-            text = text[close + 1:].strip()
+        blocks = [tuple(b) for b in _groups(rest, "{}", "block list", line_no)]
         from .partitions import Partition
-        try:
-            part = Partition.of(uni, blocks)
-        except Exception as exc:
-            raise ParseError(str(exc), line_no) from None
-        model.partitions.append((name, part))
+        model.partitions.append((name, Partition.of(uni, blocks)))
 
     def _stanza_tree(self, line_no, toks):
-        model = self.need_model()
         if len(toks) != 2:
             raise ParseError("expected 'tree NAME'", line_no)
         name = toks[1]
         labels: dict[int, Domain] = {}
         edges: list[tuple[int, int]] = []
-        assigned: dict[str, int] = {}
+        assigns: list[tuple[int, str, int]] = []  # (line, factor, node)
         for no, t in self.block_lines():
             if t[0] == "node":
                 if len(t) < 3 or t[2] != ":":
@@ -327,21 +305,20 @@ class _Parser:
             elif t[0] == "assign":
                 if len(t) != 3:
                     raise ParseError("expected 'assign FACTOR NODE'", no)
-                assigned[t[1]] = _index(t[2], no)
+                assigns.append((no, t[1], _index(t[2], no)))
             else:
                 raise ParseError(f"unknown tree line {t[0]!r}", no)
         if sorted(labels) != list(range(len(labels))):
             raise ParseError(f"tree {name!r} nodes must be 0..n-1", line_no)
         ordered = tuple(labels[i] for i in range(len(labels)))
-        tree = NamedTree(name, ordered, tuple(edges), assigned)
-        try:
-            tree.structure()  # validate shape now
-        except Exception as exc:
-            raise ParseError(str(exc), line_no) from None
-        model.trees.append(tree)
+        tree = NamedTree(name, ordered, tuple(edges), {f: n for _, f, n in assigns})
+        tree.structure()  # validate shape now
+        for no, factor, node in assigns:
+            if not 0 <= node < len(labels):
+                raise ParseError(f"factor {factor!r} assigned to missing node {node}", no)
+        self.model.trees.append(tree)
 
     def _stanza_sequence(self, line_no, toks):
-        model = self.need_model()
         if len(toks) != 2:
             raise ParseError("expected 'sequence NAME'", line_no)
         name = toks[1]
@@ -366,18 +343,13 @@ class _Parser:
         if any(p == -1 for p in pointers[:-1]):
             raise ParseError("every step but the last needs '-> K'", line_no)
         from .treecomp import EliminationSequence
-        try:
-            seq = EliminationSequence(tuple(domains), tuple(pointers[:-1]))
-        except Exception as exc:
-            raise ParseError(str(exc), line_no) from None
-        model.sequences.append((name, seq))
+        seq = EliminationSequence(tuple(domains), tuple(pointers[:-1]))
+        self.model.sequences.append((name, seq))
 
     def _stanza_query(self, line_no, toks):
-        model = self.need_model()
-        model.queries.append(self._domain_from(toks[1:], line_no))
+        self.model.queries.append(self._domain_from(toks[1:], line_no))
 
     def _stanza_hypothesis(self, line_no, toks):
-        model = self.need_model()
         if len(toks) < 4 or toks[2] != "on":
             raise ParseError(
                 "expected 'hypothesis NAME on VAR... : (cfg) ...'", line_no
@@ -389,18 +361,18 @@ class _Parser:
         domain = self._domain_from(dom_text.split(), line_no)
         configs = _parse_configs(self.catalog, domain, cfg_text, line_no)
         from .belief import FocalSet
-        model.hypotheses.append((toks[1], FocalSet.of(self.catalog, domain, configs)))
+        self.model.hypotheses.append((toks[1], FocalSet.of(self.catalog, domain, configs)))
 
 
 def parse_model(text: str, comparator: Comparator = DEFAULT_COMPARATOR) -> Model:
     return _Parser(text, comparator).parse()
 
 
-def config_text(cat: VariableCatalog, domain: Domain,
-                values: tuple[int, ...]) -> str:
-    """One configuration of ``domain`` as ``(label ...)``, from value indices."""
-    labels = (cat.frame(n)[v] for n, v in zip(domain.names, values))
-    return "(" + " ".join(labels) + ")"
+def focal_text(cat: VariableCatalog, fs: FocalSet) -> str:
+    """The configurations of a focal set as ``(label ...) (label ...)``."""
+    frames = [cat.frame(n) for n in fs.domain.names]
+    return " ".join("(" + " ".join(f[v] for f, v in zip(frames, values)) + ")"
+                    for values in fs.configs)
 
 
 def render_model(model: Model) -> str:
@@ -412,22 +384,22 @@ def render_model(model: Model) -> str:
     out.append("end")
     if model.semiring_name:
         out.append(f"semiring {model.semiring_name}")
+
+    def head(kind: str, name: str, domain: Domain) -> str:
+        return f"{kind} {name}" + (" on " + " ".join(domain.names) if domain else "")
+
+    def after_colon(fs: FocalSet) -> str:
+        return " :" + (" " + focal_text(cat, fs) if fs.configs else "")
+
     for name, val in model.factors:
-        head = f"factor {name}"
-        if val.domain:
-            head += " on " + " ".join(val.domain.names)
-        out.append(head)
+        out.append(head("factor", name, val.domain))
         out.append("  table " + " ".join(map(format_value, val.values)))
         out.append("end")
     for name, pot in model.potentials:
-        head = f"potential {name}"
-        if pot.domain:
-            head += " on " + " ".join(pot.domain.names)
-        out.append(head)
+        out.append(head("potential", name, pot.domain))
         out.append(f"  kind {pot.kind}")
         for fs, mass in pot.focal:
-            cfgs = " ".join(config_text(cat, pot.domain, v) for v in fs.configs)
-            out.append(f"  focal {format_value(mass)} :" + (" " + cfgs if cfgs else ""))
+            out.append(f"  focal {format_value(mass)}" + after_colon(fs))
         out.append("end")
     for name, uni in model.universes.items():
         out.append(f"universe {name} : " + " ".join(str(e) for e in uni.elements))
@@ -454,9 +426,7 @@ def render_model(model: Model) -> str:
     for q in model.queries:
         out.append(("query " + " ".join(q.names)).rstrip())
     for name, h in model.hypotheses:
-        cfgs = " ".join(config_text(cat, h.domain, v) for v in h.configs)
-        out.append(f"hypothesis {name} on " + " ".join(h.domain.names)
-                   + " :" + (" " + cfgs if cfgs else ""))
+        out.append(f"hypothesis {name} on " + " ".join(h.domain.names) + after_colon(h))
     return "\n".join(out) + "\n"
 
 

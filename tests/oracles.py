@@ -184,6 +184,24 @@ def cellwise_extend(a, t):
     return tuple(values[i] for i in odometer_index_map(a.catalog, t, a.domain))
 
 
+def odometer_enumerate_configs(cat, d, cap=dm.DEFAULT_CONFIG_CAP):
+    """All configurations of ``d``, row-major, by a mixed-radix odometer:
+    bump the last digit and carry leftward, as first written."""
+    cat.check_domain(d)
+    n = cat.config_count(d, cap=cap)
+    sizes = [cat.size(name) for name in d.names]
+    out = []
+    digits = [0] * len(d)
+    for _ in range(n):
+        out.append(dm.Configuration(d, tuple(digits)))
+        for p in range(len(d) - 1, -1, -1):
+            digits[p] += 1
+            if digits[p] < sizes[p]:
+                break
+            digits[p] = 0
+    return out
+
+
 def fold_join_of(domains):
     """The join as a left fold of ``|``, re-sorting the growing union each step."""
     out = EMPTY_DOMAIN

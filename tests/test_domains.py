@@ -9,11 +9,13 @@ from semival.domains import (
     Configuration,
     config_from_index,
     config_index,
+    config_values,
     restriction_index_map,
 )
 from semival.errors import CapacityError, DomainError
 
 import helpers
+import oracles
 
 
 def test_catalog_rejects_duplicates_and_empty_frames():
@@ -119,6 +121,36 @@ def test_enumerate_configs_row_major():
     assert [c.values for c in both] == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)
     ]
+
+
+def _raised(call):
+    try:
+        return call()
+    except (CapacityError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def test_config_values_match_the_odometer():
+    rng = random.Random(8)
+    cases = 0
+    for _ in range(1000):
+        cat = helpers.random_catalog(rng, max_vars=6, max_frame=4)
+        d = helpers.random_domain(rng, cat, max_size=6)
+        if rng.random() < 0.1:
+            d = sv.Domain(d.names + ("zz",))
+        cap = rng.choice([None, sv.DEFAULT_CONFIG_CAP, rng.randint(1, 80)])
+        want = _raised(lambda: oracles.odometer_enumerate_configs(cat, d, cap))
+        assert _raised(lambda: sv.enumerate_configs(cat, d, cap)) == want
+        if isinstance(want, list):
+            assert config_values(cat, d, cap) == [c.values for c in want]
+            cases += 1
+        else:
+            assert _raised(lambda: config_values(cat, d, cap)) == want
+    assert cases > 500
+    cat = sv.VariableCatalog.of({"x": ("0", "1")})
+    assert config_values(cat, sv.EMPTY_DOMAIN, cap=1) == [()]
+    assert _raised(lambda: config_values(cat, cat.full_domain, cap=1)) == \
+        (CapacityError, "domain {x} has more than 1 configurations")
 
 
 def test_enumeration_cap():

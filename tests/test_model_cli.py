@@ -29,6 +29,9 @@ GOLDEN_CASES = {
     "evidence_moebius": ["evidence", "models/evidence.sv", "--op", "moebius"],
     "solve_laws": ["solve", "models/laws.sv", "--oracle", "--heuristic",
                    "min-degree"],
+    "render_chain": ["render", "models/chain.sv"],
+    "render_evidence": ["render", "models/evidence.sv"],
+    "render_laws": ["render", "models/laws.sv"],
 }
 
 
@@ -206,6 +209,68 @@ def test_table_length_validation():
     with pytest.raises(ParseError) as exc:
         parse_model(text)
     assert "needs 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("flags", [[], ["--cap", "1073741824"]])
+def test_table_length_is_checked_past_the_default_cap(flags):
+    # 2^25 configurations: a short table is a parse error, not a capacity error
+    names = [f"b{i:02d}" for i in range(25)]
+    text = ("catalog\n" + "".join(f"  var {n} : 0 1\n" for n in names) + "end\n"
+            "semiring boolean\n"
+            f"factor f on {' '.join(names)}\n  table 1\nend\nquery b00\n")
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value).startswith("line 29: factor 'f' table has 1 values")
+    assert str(exc.value).endswith("needs 33554432")
+    code, out, err = _run_stdin(["solve", "-", *flags], text)
+    assert code == 2 and out == "" and "line 29:" in err and "needs 33554432" in err
+
+
+@pytest.mark.parametrize("node", ["5", "1", "-1"])
+@pytest.mark.parametrize("command", [["solve"], ["render"]])
+def test_assign_to_a_missing_node_is_a_parse_error(node, command):
+    text = (
+        "catalog\n  var x : 0 1\nend\nsemiring boolean\n"
+        "factor f1 on x\n  table 1 0\nend\n"
+        f"tree t\n  node 0 : x\n  assign f1 {node}\nend\nquery x\n"
+    )
+    message = f"line 10: factor 'f1' assigned to missing node {node}"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
+    code, out, err = _run_stdin([*command, "-"], text)
+    assert (code, out, err) == (2, "", f"semival: error: {message}\n")
+
+
+_TWO_VARS = "catalog\n  var x : 0 1\n  var y : 0 1\nend\n"
+
+
+@pytest.mark.parametrize("stanza, message", [
+    ("semiring nope\n",
+     "line 5: unknown semiring 'nope' (known: arithmetic, boolean, bottleneck, "
+     "fuzzy-product, tropical, chain(k))"),
+    ("potential p on x\n  kind bpa\n  focal 0.5 : (0)\nend\n",
+     "line 5: bpa masses sum to 0.5, not 1"),
+    ("universe u : 1 2 2\n", "line 5: universe labels must be distinct"),
+    ("universe u : 1 2 3\npartition p of u : {1 2}\n",
+     "line 6: blocks do not cover the universe"),
+    ("tree t\n  node 0 : x\n  node 1 : y\n  node 2 : x\n  node 3 : y\n"
+     "  edge 0 1\n  edge 1 2\n  edge 2 0\nend\n",
+     "line 5: tree is not connected"),
+    ("sequence s\n  step x -> 5\n  step y\nend\n",
+     "line 5: pointer b(0) = 4 must satisfy 0 < b(0) < 2"),
+    ("hypothesis h on x : (0) (1\n",
+     "line 5: unbalanced '(' in configuration list"),
+    ("potential p on x\n  focal 1 : (0\nend\n",
+     "line 6: unbalanced '(' in configuration list"),
+    ("universe u : 1 2 3\npartition p of u : {1 2} {3\n",
+     "line 6: unbalanced '{' in block list"),
+], ids=["semiring", "potential", "universe", "partition", "tree", "sequence",
+        "hypothesis", "focal", "blocks"])
+def test_rejected_stanza_messages(stanza, message):
+    with pytest.raises(ParseError) as exc:
+        parse_model(_TWO_VARS + stanza)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("path", sorted(MODELS.glob("*.sv")))
