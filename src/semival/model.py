@@ -133,6 +133,7 @@ class _Parser:
         self.comparator = comparator
         self.catalog: VariableCatalog | None = None
         self.model: Model | None = None
+        self.assign_lines: list[tuple[int, str]] = []  # (line, factor) of every assign
 
     def next_line(self) -> tuple[int, list[str]] | None:
         while self.pos < len(self.lines):
@@ -166,12 +167,17 @@ class _Parser:
                 raise ParseError("the catalog stanza must come first", line_no)
             try:
                 handler(line_no, toks)
-            except ParseError:
-                raise
             except Exception as exc:  # what a stanza declares is invalid
+                if isinstance(exc, ParseError) and exc.line is not None:
+                    raise
                 raise ParseError(str(exc), line_no) from None
         if self.model is None:
             raise ParseError("model has no catalog stanza")
+        declared = {n for n, _ in self.model.factors} | {n for n, _ in self.model.potentials}
+        for no, factor in self.assign_lines:
+            if factor not in declared:
+                raise ParseError(
+                    f"assign names {factor!r}, which no factor or potential declares", no)
         return self.model
 
     # -- stanzas ------------------------------------------------------------
@@ -313,9 +319,15 @@ class _Parser:
         ordered = tuple(labels[i] for i in range(len(labels)))
         tree = NamedTree(name, ordered, tuple(edges), {f: n for _, f, n in assigns})
         tree.structure()  # validate shape now
+        first: dict[str, int] = {}
         for no, factor, node in assigns:
             if not 0 <= node < len(labels):
                 raise ParseError(f"factor {factor!r} assigned to missing node {node}", no)
+            if factor in first:
+                raise ParseError(
+                    f"factor {factor!r} is assigned twice (first at line {first[factor]})", no)
+            first[factor] = no
+        self.assign_lines.extend((no, factor) for no, factor, _ in assigns)
         self.model.trees.append(tree)
 
     def _stanza_sequence(self, line_no, toks):

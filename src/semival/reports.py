@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count, starmap
+from operator import not_
 from typing import Callable, Sequence
 
 PASS = "pass"
@@ -27,13 +29,18 @@ def run_law(name: str, pred: Callable[..., bool], *, trials: Sequence[tuple],
             witness: Callable[[int, tuple], str],
             applicable: bool = True) -> LawResult:
     """Evaluate ``pred(*trial)`` on the trials in order, stopping at the first
-    failure, whose index and trial ``witness`` describes."""
+    failure, whose index and trial ``witness`` describes.
+
+    A law predicate must be a pure function of its trial, or draw from a
+    shared ``rng`` only in trial order: the scan is lazy, so ``pred`` runs
+    on trials ``0..k`` and no further when trial ``k`` is the first to fail.
+    """
     if not applicable:
         return LawResult(name, NOT_APPLICABLE)
-    for k, trial in enumerate(trials):
-        if not pred(*trial):
-            return LawResult(name, FAIL, witness(k, trial))
-    return LawResult(name, PASS)
+    k = next(compress(count(), map(not_, starmap(pred, trials))), None)
+    if k is None:
+        return LawResult(name, PASS)
+    return LawResult(name, FAIL, witness(k, trials[k]))
 
 
 @dataclass(frozen=True)

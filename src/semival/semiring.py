@@ -83,8 +83,19 @@ class Semiring:
 
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` without its Python frames: CPython's
+    ``_randbelow_with_getrandbits``, so it consumes the same bits and
+    returns the same value."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _sample_boolean(rng: random.Random) -> int:
-    return rng.randint(0, 1)
+    return _below(rng, 2)
 
 
 def _sample_arithmetic(rng: random.Random) -> float:
@@ -92,8 +103,8 @@ def _sample_arithmetic(rng: random.Random) -> float:
     if r < 0.15:
         return 0.0
     if r < 0.3:
-        return float(rng.randint(1, 4))
-    return rng.uniform(0.0, 4.0)
+        return float(1 + _below(rng, 4))
+    return 0.0 + 4.0 * rng.random()  # rng.uniform(0.0, 4.0)
 
 
 def _sample_tropical(rng: random.Random) -> float:
@@ -101,8 +112,8 @@ def _sample_tropical(rng: random.Random) -> float:
     if r < 0.12:
         return NEG_INF
     if r < 0.6:
-        return float(rng.randint(-6, 6))
-    return rng.uniform(-6.0, 6.0)
+        return float(_below(rng, 13) - 6)
+    return -6.0 + 12.0 * rng.random()  # rng.uniform(-6.0, 6.0)
 
 
 def _sample_unit_interval(rng: random.Random) -> float:
@@ -210,7 +221,7 @@ def chain_instance(k: int) -> Semiring:
         positive=True,
         idempotent_mul=True,
         eq=lambda a, b: a == b,
-        sample=lambda rng: rng.randint(0, k - 1),
+        sample=lambda rng: _below(rng, k),
         member=lambda v: v in range(k),
     )
 
@@ -239,19 +250,25 @@ def check_semiring_axioms(
     """Sample the semiring laws and the declared flags.
 
     Every law is reported separately with a witness for the first
-    failure; the report is deterministic given the seed.
+    failure; the report is deterministic given the seed.  The laws are
+    pure functions of the drawn values, so each is evaluated once per
+    distinct draw, in first-seen order: the first failing distinct draw
+    is the first failing draw, and ``samples`` still counts every draw.
+    Draws that compare equal count as one.
     """
     from .reports import CheckReport, run_law
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = random.Random(seed)
-    draws = [(sr.sample(rng), sr.sample(rng), sr.sample(rng)) for _ in range(samples)]
+    sample = sr.sample
+    distinct = list(dict.fromkeys(
+        (sample(rng), sample(rng), sample(rng)) for _ in range(samples)))
     add, mul, eq = sr.add, sr.mul, sr.eq
     has_zero = sr.zero is not None
     # fully idempotent bounded instances form a distributive lattice:
     # addition is join, multiplication meet; absorption witnesses that.
     both = sr.idempotent_add and sr.idempotent_mul
-    law = partial(run_law, trials=draws, witness=_witness)
+    law = partial(run_law, trials=distinct, witness=_witness)
     laws = (
         law("add-commutative", lambda a, b, c: eq(add(a, b), add(b, a))),
         law("add-associative", lambda a, b, c: eq(add(add(a, b), c), add(a, add(b, c)))),

@@ -258,3 +258,159 @@ def markov_check_direct(tree) -> bool:
         if not ci_family(branches, tree.labels[v]):
             return False
     return True
+
+
+# --- law checkers as first written -------------------------------------------
+# The stock samplers through ``randint``/``uniform``, ``run_law`` as a loop,
+# the semiring checker over every draw and the q-separoid checker calling
+# the relation and the lattice operations once per use.  The package's
+# checkers must print the same reports.
+
+def _randint_boolean(rng):
+    return rng.randint(0, 1)
+
+
+def _randint_arithmetic(rng):
+    r = rng.random()
+    if r < 0.15:
+        return 0.0
+    if r < 0.3:
+        return float(rng.randint(1, 4))
+    return rng.uniform(0.0, 4.0)
+
+
+def _randint_tropical(rng):
+    r = rng.random()
+    if r < 0.12:
+        return float("-inf")
+    if r < 0.6:
+        return float(rng.randint(-6, 6))
+    return rng.uniform(-6.0, 6.0)
+
+
+def _random_unit_interval(rng):
+    r = rng.random()
+    if r < 0.1:
+        return 0.0
+    if r < 0.2:
+        return 1.0
+    return rng.random()
+
+
+def reference_sampler(name: str):
+    """The stock sampler of the instance called ``name`` (``chain(k)`` too)."""
+    if name.startswith("chain("):
+        k = int(name[6:-1])
+        return lambda rng: rng.randint(0, k - 1)
+    return {
+        "boolean": _randint_boolean,
+        "arithmetic": _randint_arithmetic,
+        "tropical": _randint_tropical,
+        "bottleneck": _random_unit_interval,
+        "fuzzy-product": _random_unit_interval,
+    }[name]
+
+
+def loop_run_law(name, pred, *, trials, witness, applicable=True):
+    from semival.reports import FAIL, NOT_APPLICABLE, PASS, LawResult
+    if not applicable:
+        return LawResult(name, NOT_APPLICABLE)
+    for k, trial in enumerate(trials):
+        if not pred(*trial):
+            return LawResult(name, FAIL, witness(k, trial))
+    return LawResult(name, PASS)
+
+
+def every_draw_check_semiring_axioms(sr, samples=10_000, seed=0, sample=None):
+    """The semiring law check over every draw, with ``sample`` (the stock
+    reference sampler of ``sr.name`` by default) drawing the values."""
+    import random
+    from functools import partial
+
+    from semival.reports import CheckReport
+    from semival.semiring import _witness
+    sample = sample or reference_sampler(sr.name)
+    rng = random.Random(seed)
+    draws = [(sample(rng), sample(rng), sample(rng)) for _ in range(samples)]
+    add, mul, eq = sr.add, sr.mul, sr.eq
+    has_zero = sr.zero is not None
+    both = sr.idempotent_add and sr.idempotent_mul
+    law = partial(loop_run_law, trials=draws, witness=_witness)
+    laws = (
+        law("add-commutative", lambda a, b, c: eq(add(a, b), add(b, a))),
+        law("add-associative", lambda a, b, c: eq(add(add(a, b), c), add(a, add(b, c)))),
+        law("mul-commutative", lambda a, b, c: eq(mul(a, b), mul(b, a))),
+        law("mul-associative", lambda a, b, c: eq(mul(mul(a, b), c), mul(a, mul(b, c)))),
+        law("distributive",
+            lambda a, b, c: eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))),
+        law("zero-neutral", lambda a, b, c: eq(add(a, sr.zero), a), applicable=has_zero),
+        law("zero-absorbing", lambda a, b, c: eq(mul(a, sr.zero), sr.zero),
+            applicable=has_zero),
+        law("one-neutral", lambda a, b, c: eq(mul(sr.one, a), a)),
+        law("flag-idempotent-add", lambda a, b, c: eq(add(a, a), a),
+            applicable=sr.idempotent_add),
+        law("flag-idempotent-mul", lambda a, b, c: eq(mul(a, a), a),
+            applicable=sr.idempotent_mul),
+        law("flag-positive",
+            lambda a, b, c: not eq(add(a, b), sr.zero) or (eq(a, sr.zero) and eq(b, sr.zero)),
+            applicable=sr.positive and has_zero),
+        law("absorption-add", lambda a, b, c: eq(add(a, mul(a, b)), a), applicable=both),
+        law("absorption-mul", lambda a, b, c: eq(mul(a, add(a, b)), a), applicable=both),
+    )
+    return CheckReport(subject=f"semiring {sr.name}", seed=seed, samples=samples,
+                       laws=laws)
+
+
+def per_call_check_qseparoid(parts, exhaustive_limit=200_000, seed=0, indep=None):
+    """The q-separoid check calling ``indep``, join and leq at every use."""
+    import random
+    from functools import partial
+
+    from semival.errors import DomainError
+    from semival.partitions import (_same_universe, _triple_witness,
+                                    cond_indep_partitions, partition_join,
+                                    partition_leq)
+    from semival.reports import CheckReport
+    parts = list(dict.fromkeys(parts))
+    if not parts:
+        raise DomainError("empty partition family")
+    _same_universe(*parts)
+    rel = indep if indep is not None else cond_indep_partitions
+    index = set(parts)
+    for a, b in itertools.combinations_with_replacement(parts, 2):
+        if partition_join(a, b) not in index:
+            raise DomainError(
+                f"family is not join-closed: join of [{a}] and [{b}] is missing"
+            )
+    n = len(parts)
+    exhaustive = n**3 <= exhaustive_limit
+    rng = random.Random(seed)
+    if exhaustive:
+        triples = list(itertools.product(parts, repeat=3))
+    else:
+        triples = [(rng.choice(parts), rng.choice(parts), rng.choice(parts))
+                   for _ in range(exhaustive_limit)]
+
+    def c3(x, y, z):
+        if not rel(x, y, z):
+            return True
+        coarser = (
+            [w for w in parts if partition_leq(w, y)]
+            if exhaustive
+            else [w for w in rng.sample(parts, min(4, n)) if partition_leq(w, y)]
+        )
+        return all(rel(x, w, z) for w in coarser)
+
+    law = partial(loop_run_law, trials=triples, witness=_triple_witness)
+    laws = (
+        law("C1-self-conditioning", lambda x, y, z: rel(x, y, y)),
+        law("C2-symmetry", lambda x, y, z: not rel(x, y, z) or rel(y, x, z)),
+        law("C3-coarsening", c3),
+        law("C4-join-absorption",
+            lambda x, y, z: not rel(x, y, z) or rel(x, partition_join(y, z), z)),
+        law("basic", lambda x, y, z: not rel(x, x, y) or partition_leq(x, y)),
+    )
+    return CheckReport(
+        subject="partition q-separoid", seed=seed, samples=len(triples), laws=laws,
+        details=(f"family size {n}, {'exhaustive' if exhaustive else 'sampled'} triples",),
+    )

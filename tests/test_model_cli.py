@@ -1,5 +1,6 @@
 import io
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -242,6 +243,50 @@ def test_assign_to_a_missing_node_is_a_parse_error(node, command):
     assert (code, out, err) == (2, "", f"semival: error: {message}\n")
 
 
+
+@pytest.mark.parametrize("assigns, message", [
+    ("  assign f1 0\n  assign nosuch 0\n",
+     "line 11: assign names 'nosuch', which no factor or potential declares"),
+    ("  assign f1 0\n  assign f1 0\n",
+     "line 11: factor 'f1' is assigned twice (first at line 10)"),
+], ids=["undeclared", "twice"])
+@pytest.mark.parametrize("command", [["solve"], ["render"]])
+def test_unchecked_assign_lines_are_parse_errors(assigns, message, command):
+    text = (
+        "catalog\n  var x : 0 1\nend\nsemiring boolean\n"
+        "factor f1 on x\n  table 1 0\nend\n"
+        f"tree t\n  node 0 : x\n{assigns}end\nquery x\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
+    code, out, err = _run_stdin([*command, "-"], text)
+    assert (code, out, err) == (2, "", f"semival: error: {message}\n")
+
+
+def test_assign_may_precede_its_factor():
+    text = (
+        "catalog\n  var x : 0 1\nend\nsemiring boolean\n"
+        "tree t\n  node 0 : x\n  assign f1 0\nend\n"
+        "potential p on x\n  focal 1 : (0)\nend\n"
+        "factor f1 on x\n  table 1 0\nend\nquery x\n"
+    )
+    assert parse_model(text).trees[0].assigned == {"f1": 0}
+    code, out, _ = _run_stdin(["solve", "-"], text)
+    assert code == 0 and "status: ok" in out
+
+
+def test_factor_before_semiring_names_the_factor_line():
+    text = ("catalog\n  var x : 0 1\nend\n"
+            "factor f on x\n  table 1 0\nend\nsemiring boolean\n")
+    message = "line 4: model declares no semiring"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
+    code, out, err = _run_stdin(["render", "-"], text)
+    assert (code, out, err) == (2, "", f"semival: error: {message}\n")
+
+
 _TWO_VARS = "catalog\n  var x : 0 1\n  var y : 0 1\nend\n"
 
 
@@ -322,9 +367,15 @@ def _mutate(rng, lines):
     return "\n".join(" ".join(toks) for toks in lines) + "\n"
 
 
+LINE_PREFIX = re.compile(r"line [1-9][0-9]*: ")
+# the errors that concern the model file as a whole and so name no line
+WHOLE_FILE_MESSAGES = {"model has no catalog stanza"}
+
+
 def test_mutated_models_parse_or_raise_parse_error():
-    """Every token-level mutation of a fixture model either raises
-    ``ParseError`` or parses to a model whose rendering is a fixed point."""
+    """Every token-level mutation of a fixture model either raises a
+    ``ParseError`` that names a line (or is one of the whole-file errors)
+    or parses to a model whose rendering is a fixed point."""
     rng = random.Random(7)
     fixtures = [path.read_text().splitlines() for path in sorted(MODELS.glob("*.sv"))]
     parsed = 0
@@ -332,7 +383,9 @@ def test_mutated_models_parse_or_raise_parse_error():
         text = _mutate(rng, rng.choice(fixtures))
         try:
             model = parse_model(text)
-        except ParseError:
+        except ParseError as exc:
+            message = str(exc)
+            assert LINE_PREFIX.match(message) or message in WHOLE_FILE_MESSAGES, text
             continue
         parsed += 1
         canon = render_model(model)

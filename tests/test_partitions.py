@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import semival as sv
 from semival.errors import DomainError, MismatchError
 from semival.partitions import lattice_cond_indep, partition_by
@@ -214,6 +215,116 @@ def test_qseparoid_sampling_mode():
     assert "sampled" in report.details[0]
     again = sv.check_qseparoid(parts, exhaustive_limit=100, seed=3)
     assert str(report) == str(again)
+
+
+# --- the table-driven checker against the per-call reference -----------------
+
+def _refuses_coarse(p1, p2, p):
+    return sv.cond_indep_partitions(p1, p2, p) and len(p2.blocks) >= 2
+
+
+def _refuses_fine_first(p1, p2, p):
+    """Asymmetric in its first two arguments, so C2 fails as well."""
+    return sv.cond_indep_partitions(p1, p2, p) and len(p1.blocks) <= len(p2.blocks)
+
+
+def _always(p1, p2, p):
+    """Calls everything independent, so only the basic law fails."""
+    return True
+
+
+def _refuses_refined(p1, p2, p):
+    """Refuses a second argument that already refines the condition: C4 fails."""
+    return sv.cond_indep_partitions(p1, p2, p) and sv.partition_join(p2, p) != p2
+
+
+HOOKS = [None, _refuses_coarse, _refuses_fine_first, _always, _refuses_refined]
+
+
+def _universe(size):
+    return sv.Universe(tuple(str(i) for i in range(size)))
+
+
+def _join_closure(parts):
+    family = set(parts)
+    while True:
+        joins = {sv.partition_join(a, b) for a in family for b in family}
+        if joins <= family:
+            return sorted(family, key=str)
+        family |= joins
+
+
+def _same_report(parts, **kw):
+    want = oracles.per_call_check_qseparoid(parts, **kw)
+    got = sv.check_qseparoid(parts, **kw)
+    assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("indep", HOOKS)
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_qseparoid_matches_reference_on_full_lattices(size, indep):
+    _same_report(sv.all_partitions(_universe(size)), indep=indep)
+
+
+def test_qseparoid_full_five_element_lattice():
+    # the per-call reference makes about 960 000 relation calls here, too many
+    # for the suite, so its report is recorded
+    report = sv.check_qseparoid(sv.all_partitions(_universe(5)))
+    assert str(report) == "\n".join([
+        "check partition q-separoid (samples=140608 seed=0)",
+        "family size 52, exhaustive triples",
+        "law C1-self-conditioning: pass", "law C2-symmetry: pass",
+        "law C3-coarsening: pass", "law C4-join-absorption: pass", "law basic: pass",
+        "result: pass",
+    ])
+
+
+@pytest.mark.parametrize("indep", HOOKS)
+def test_qseparoid_matches_reference_on_random_join_closed_families(indep):
+    rng = random.Random(5)
+    for _ in range(12):
+        uni = _universe(rng.randint(3, 5))
+        gens = [_random_partition(rng, uni) for _ in range(rng.randint(1, 3))]
+        family = _join_closure(gens)
+        rng.shuffle(family)
+        _same_report(family, indep=indep)
+
+
+@pytest.mark.parametrize("indep", HOOKS)
+@pytest.mark.parametrize("size", [4, 5])
+def test_qseparoid_matches_reference_when_sampled(size, indep):
+    parts = sv.all_partitions(_universe(size))
+    for limit in (1, 10, 300):
+        for seed in (0, 1, 2):
+            _same_report(parts, exhaustive_limit=limit, seed=seed, indep=indep)
+
+
+def test_qseparoid_join_closure_error_matches_reference():
+    rng = random.Random(9)
+    for _ in range(20):
+        uni = _universe(4)
+        family = [_random_partition(rng, uni) for _ in range(3)]
+        try:
+            want = str(oracles.per_call_check_qseparoid(family))
+        except DomainError as exc:
+            want = f"DomainError: {exc}"
+        try:
+            got = str(sv.check_qseparoid(family))
+        except DomainError as exc:
+            got = f"DomainError: {exc}"
+        assert got == want
+
+
+@pytest.mark.parametrize("limit", [200_000, 300])
+def test_qseparoid_calls_indep_once_per_triple(limit):
+    seen = []
+
+    def counting(p1, p2, p):
+        seen.append((p1, p2, p))
+        return _refuses_fine_first(p1, p2, p)
+
+    sv.check_qseparoid(sv.all_partitions(U4), exhaustive_limit=limit, indep=counting)
+    assert seen and len(seen) == len(set(seen))
 
 
 @settings(max_examples=60)

@@ -1,6 +1,8 @@
+import random
 
 import pytest
 
+import oracles
 import semival as sv
 from semival.errors import DomainError
 from semival.semiring import corrupted, format_value
@@ -105,3 +107,35 @@ def test_report_is_deterministic():
     a = sv.check_semiring_axioms(sr, samples=300, seed=42)
     b = sv.check_semiring_axioms(sr, samples=300, seed=42)
     assert str(a) == str(b)
+
+
+# --- samplers and the checker against the reference forms -------------------
+
+SAMPLED = ["boolean", "arithmetic", "tropical", "bottleneck", "fuzzy-product",
+           "chain(1)", "chain(2)", "chain(5)"]
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_samplers_match_randint_uniform_reference(name):
+    """Same values, same types and the same number of bits consumed."""
+    sample, want = sv.get_instance(name).sample, oracles.reference_sampler(name)
+    rng, ref = random.Random(name), random.Random(name)
+    got = [sample(rng) for _ in range(100_000)]
+    expected = [want(ref) for _ in range(100_000)]
+    assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in expected]
+    assert rng.getstate() == ref.getstate()
+
+
+def _checked_instances():
+    out = [sv.get_instance(name) for name in SAMPLED]
+    out.append(corrupted(sv.get_instance("arithmetic"), idempotent_add=True))
+    out.append(corrupted(sv.get_instance("tropical"), positive=True, zero=0))
+    return out
+
+
+@pytest.mark.parametrize("sr", _checked_instances(), ids=lambda sr: sr.name)
+def test_checker_matches_every_draw_reference(sr):
+    for seed in range(20):
+        for samples in (1, 7, 100, 500):
+            want = oracles.every_draw_check_semiring_axioms(sr, samples, seed)
+            assert str(sv.check_semiring_axioms(sr, samples, seed)) == str(want)
