@@ -133,7 +133,9 @@ class _Parser:
         self.comparator = comparator
         self.catalog: VariableCatalog | None = None
         self.model: Model | None = None
-        self.assign_lines: list[tuple[int, str]] = []  # (line, factor) of every assign
+        self.semiring_line: int | None = None
+        self.declared: dict[str, int] = {}  # factor or potential name -> its line
+        self.assign_lines: list[tuple[int, str, int, Domain]] = []  # (line, factor, node, label)
 
     def next_line(self) -> tuple[int, list[str]] | None:
         while self.pos < len(self.lines):
@@ -173,11 +175,14 @@ class _Parser:
                 raise ParseError(str(exc), line_no) from None
         if self.model is None:
             raise ParseError("model has no catalog stanza")
-        declared = {n for n, _ in self.model.factors} | {n for n, _ in self.model.potentials}
-        for no, factor in self.assign_lines:
-            if factor not in declared:
+        domains = {n: v.domain for n, v in self.model.factors + self.model.potentials}
+        for no, factor, node, label in self.assign_lines:
+            if factor not in domains:
                 raise ParseError(
                     f"assign names {factor!r}, which no factor or potential declares", no)
+            if not domains[factor] <= label:
+                raise ParseError(f"factor {factor!r} on {domains[factor]} not covered "
+                                 f"by node {node} labeled {label}", no)
         return self.model
 
     # -- stanzas ------------------------------------------------------------
@@ -200,6 +205,10 @@ class _Parser:
     def _stanza_semiring(self, line_no, toks):
         if len(toks) != 2:
             raise ParseError("expected 'semiring NAME'", line_no)
+        if self.semiring_line is not None:
+            raise ParseError(
+                f"duplicate semiring stanza (first at line {self.semiring_line})", line_no)
+        self.semiring_line = line_no
         self.model.semiring_name = toks[1]
         self.model.semiring(self.comparator)  # validate early
 
@@ -213,7 +222,13 @@ class _Parser:
         """The ``NAME on VAR...`` head of a factor or potential stanza."""
         if len(toks) < 2 or (len(toks) > 2 and toks[2] != "on"):
             raise ParseError(f"expected '{toks[0]} NAME on VAR...'", line_no)
-        return toks[1], self._domain_from(toks[3:], line_no)
+        name = toks[1]
+        if name in self.declared:
+            raise ParseError(
+                f"name {name!r} is declared twice (first at line {self.declared[name]})",
+                line_no)
+        self.declared[name] = line_no
+        return name, self._domain_from(toks[3:], line_no)
 
     def _stanza_factor(self, line_no, toks):
         model = self.model
@@ -327,7 +342,8 @@ class _Parser:
                 raise ParseError(
                     f"factor {factor!r} is assigned twice (first at line {first[factor]})", no)
             first[factor] = no
-        self.assign_lines.extend((no, factor) for no, factor, _ in assigns)
+        self.assign_lines.extend((no, factor, node, ordered[node])
+                                 for no, factor, node in assigns)
         self.model.trees.append(tree)
 
     def _stanza_sequence(self, line_no, toks):

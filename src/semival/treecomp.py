@@ -4,7 +4,8 @@ The solvers are generic over the information algebra: an *ops* adapter
 for either semiring valuations (:class:`ValuationOps`) or set potentials
 (:class:`SetPotentialOps`) provides
 
-* ``catalog`` -- the variable catalog its values live in,
+* ``catalog``, ``cap`` -- the variable catalog its values live in and
+  the configuration cap every node label is checked against,
 * ``combine(a, b)``, ``unit(d)`` -- combination and its neutral element,
 * ``transport(a, d)``, ``message(a, target)`` -- moving information to
   another domain and shaping an edge message for the receiving label,
@@ -19,15 +20,21 @@ valuations:
 
 * transport form -- messages live on the receiving node's full label;
   valid when the semiring has idempotent addition,
-* projection form -- messages live on the edge separator (label
+* projection form -- messages live within the edge separator (label
   intersection); valid for every semiring.
 
 ``ValuationOps.message`` picks transport form exactly when the semiring
-has idempotent addition.  Collect computes the combined information at
-a chosen root; distribute reuses the cached inward messages and builds
-only the outward messages on the paths from the root to the requested
-nodes.  Hypertree elimination is the sequential variant; its backward
-pass needs a fully idempotent algebra and refuses to run otherwise.
+has idempotent addition.  Every node starts from the scalar identity
+``unit(EMPTY_DOMAIN)`` and holds only its own factors, combined on
+their own domains; this is the adjoined identity of covering join trees
+(Schneuwly, Pouly & Kohlas 2004).  A node's result therefore spans the
+variables of its label that some factor mentions, and a label variable
+no factor mentions is never summed over.  Collect computes the combined
+information at a chosen root; distribute reuses the cached inward
+messages and builds only the outward messages on the paths from the
+root to the requested nodes.  Hypertree elimination is the sequential
+variant; its backward pass needs a fully idempotent algebra and refuses
+to run otherwise.
 
 ``naive_solve`` is the deliberately simple combine-then-extract oracle
 that every local scheme is tested against.
@@ -43,7 +50,6 @@ from functools import cached_property, reduce
 from typing import Sequence
 
 from . import domains as dm
-from . import valuation as va
 from .domains import Domain, VariableCatalog
 from .errors import CapabilityError, DomainError
 from .semiring import Semiring
@@ -345,29 +351,31 @@ class ValuationOps:
 
     def __init__(self, cat: VariableCatalog, sr: Semiring, *,
                  cap: int | None = dm.DEFAULT_CONFIG_CAP):
+        from . import valuation  # loaded on first use: set-potential solves never need it
+        self._va = valuation
         self.catalog = cat
         self.semiring = sr
         self.cap = cap
 
     def combine(self, a, b):
-        return va.combine(a, b, cap=self.cap)
+        return self._va.combine(a, b, cap=self.cap)
 
     def unit(self, d: Domain):
-        return va.unit(self.catalog, self.semiring, d, cap=self.cap)
+        return self._va.unit(self.catalog, self.semiring, d, cap=self.cap)
 
     def transport(self, a, d: Domain):
-        return va.transport(a, d, cap=self.cap)
+        return self._va.transport(a, d, cap=self.cap)
 
     def message(self, a, target: Domain):
         if self.semiring.idempotent_add:
-            return va.transport(a, target, cap=self.cap)
-        return va.project(a, a.domain & target)
+            return self._va.transport(a, target, cap=self.cap)
+        return self._va.project(a, a.domain & target)
 
     def solve_to(self, a, x: Domain):
         if x <= a.domain:
-            return va.project(a, x)
+            return self._va.project(a, x)
         if self.semiring.idempotent_add:
-            return va.transport(a, x, cap=self.cap)
+            return self._va.transport(a, x, cap=self.cap)
         raise CapabilityError(
             f"cannot move a {self.semiring.name} valuation from {a.domain} "
             f"to non-subset {x}: transport needs idempotent addition"
@@ -428,6 +436,12 @@ class MessageStore:
 
 
 def _node_factors(tree: LabeledTree, factors: Sequence, ops) -> list:
+    """Each node's assigned factors combined in assignment order, starting
+    from the scalar identity; a node without factors holds the identity.
+
+    Every label is checked against ``ops.cap`` first: a label over the cap
+    fails before any combination, with the error a table on it would raise.
+    """
     if len(tree.assignment) != len(factors):
         raise DomainError(
             f"{len(factors)} factors but {len(tree.assignment)} assignments"
@@ -438,7 +452,9 @@ def _node_factors(tree: LabeledTree, factors: Sequence, ops) -> list:
                 f"factor {k} on {f.domain} not covered by node "
                 f"{tree.assignment[k]} labeled {tree.labels[tree.assignment[k]]}"
             )
-    out = [ops.unit(label) for label in tree.labels]
+    for label in tree.labels:
+        ops.catalog.config_count(label, cap=ops.cap)
+    out = [ops.unit(dm.EMPTY_DOMAIN)] * len(tree.labels)
     for k, f in enumerate(factors):
         v = tree.assignment[k]
         out[v] = ops.combine(out[v], f)
@@ -457,7 +473,11 @@ def _absorb(tree: LabeledTree, node_factors: Sequence, messages: dict, v: int,
 
 
 def collect(tree: LabeledTree, factors: Sequence, root: int, ops):
-    """Inward pass; returns the root result and the cached messages."""
+    """Inward pass; returns the root result and the cached messages.
+
+    Results (here and in :func:`distribute`) span the label variables
+    that some factor mentions, not necessarily the whole label.
+    """
     if not 0 <= root < len(tree):
         raise DomainError(f"root {root} out of range")
     if not is_join_tree(tree):

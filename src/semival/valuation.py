@@ -136,8 +136,6 @@ def valuations_equal(a: Valuation, b: Valuation) -> bool:
 def _constant(cat: VariableCatalog, sr: Semiring, d: Domain, value,
               cap: int | None) -> Valuation:
     n = cat.config_count(cat.check_domain(d), cap=cap)
-    if n >= ARRAY_MIN_CELLS and type(value) is float and _array_semiring(sr):
-        return Valuation(cat, sr, d, _frozen(_numpy().full(n, value)))
     return Valuation(cat, sr, d, (value,) * n)
 
 
@@ -186,6 +184,8 @@ def _gather(a: Valuation, t: Domain):
     """``a``'s values in ``t``'s configuration order (``d(a) <= t``)."""
     if a.domain == t:
         return a.values
+    if not a.domain:  # the identity every join-tree node starts from: no index map
+        return repeat(a.values[0], a.catalog.config_count(t, cap=None))
     return map(a.values.__getitem__, dm.restriction_index_map(a.catalog, t, a.domain))
 
 

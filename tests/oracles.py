@@ -10,6 +10,7 @@ import itertools
 from semival import domains as dm
 from semival import treecomp
 from semival.domains import EMPTY_DOMAIN, Domain
+from semival.errors import DomainError
 from semival.treecomp import join_of
 
 
@@ -207,6 +208,31 @@ def fold_join_of(domains):
     out = EMPTY_DOMAIN
     for d in domains:
         out = out | d
+    return out
+
+
+def label_unit_tables(tree, factors, ops) -> list:
+    """Each node's factors combined into the unit on its whole label.
+
+    The node tables the solver started from before nodes began at the
+    scalar identity: every table spans its label.  The hypertree tests take
+    their per-domain inputs from here, and the solver's results are pinned
+    against collect/distribute run on these tables.
+    """
+    if len(tree.assignment) != len(factors):
+        raise DomainError(
+            f"{len(factors)} factors but {len(tree.assignment)} assignments"
+        )
+    for k, f in enumerate(factors):
+        if not f.domain <= tree.labels[tree.assignment[k]]:
+            raise DomainError(
+                f"factor {k} on {f.domain} not covered by node "
+                f"{tree.assignment[k]} labeled {tree.labels[tree.assignment[k]]}"
+            )
+    out = [ops.unit(label) for label in tree.labels]
+    for k, f in enumerate(factors):
+        v = tree.assignment[k]
+        out[v] = ops.combine(out[v], f)
     return out
 
 

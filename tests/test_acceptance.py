@@ -108,7 +108,7 @@ def test_criterion_3_hypertree_schemes():
         tree = sv.build_covering_join_tree([f.domain for f in factors])
         seq, order = sv.tree_to_sequence(tree, rng.randrange(len(tree)))
         assert sv.verify_hypertree_sequence(seq)
-        node_factors = tc._node_factors(tree, factors, ops)
+        node_factors = oracles.label_unit_tables(tree, factors, ops)
         aligned = [node_factors[v] for v in order]
         got, psis = sv.hypertree_collect(seq, aligned, ops)
         expected = sv.naive_solve(factors, seq.domains[-1], ops)

@@ -39,6 +39,8 @@ MODELS = {
 # (argv, modules the command must not load)
 CASES = {
     "solve": (["solve", "chain.sv", "--oracle"], {"belief", "partitions", "reports"}),
+    "solve-potentials": (["solve", "evidence.sv", "--oracle", "--query", "u"],
+                         {"valuation", "partitions", "reports"}),
     "check-semiring": (["check", "semiring.sv", "--what", "semiring", "--samples", "50"],
                        {"treecomp", "valuation", "belief", "partitions"}),
     "check-qseparoid": (["check", "partitions.sv", "--what", "qseparoid"],

@@ -264,6 +264,61 @@ def test_unchecked_assign_lines_are_parse_errors(assigns, message, command):
     assert (code, out, err) == (2, "", f"semival: error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [["solve"], ["render"]])
+def test_second_semiring_stanza_is_a_parse_error(command):
+    text = (
+        "catalog\n  var x : 0 1\nend\nsemiring boolean\n"
+        "factor f1 on x\n  table 1 0\nend\nsemiring arithmetic\nquery x\n"
+    )
+    message = "line 8: duplicate semiring stanza (first at line 4)"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
+    code, out, err = _run_stdin([*command, "-"], text)
+    assert (code, out, err) == (2, "", f"semival: error: {message}\n")
+
+
+_FACTOR_F = "factor f on x\n  table 1 0\nend\n"
+_POTENTIAL_F = "potential f on x\n  focal 1 : (0)\nend\n"
+
+
+@pytest.mark.parametrize("first, second", [
+    (_FACTOR_F, _FACTOR_F), (_POTENTIAL_F, _POTENTIAL_F),
+    (_FACTOR_F, _POTENTIAL_F), (_POTENTIAL_F, _FACTOR_F),
+], ids=["factor-factor", "potential-potential", "factor-potential", "potential-factor"])
+@pytest.mark.parametrize("command", [["solve"], ["render"]])
+def test_repeated_factor_or_potential_name_is_a_parse_error(first, second, command):
+    text = (
+        "catalog\n  var x : 0 1\nend\nsemiring boolean\n"
+        f"{first}{second}tree t\n  node 0 : x\n  assign f 0\nend\nquery x\n"
+    )
+    message = "line 8: name 'f' is declared twice (first at line 5)"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
+    code, out, err = _run_stdin([*command, "-"], text)
+    assert (code, out, err) == (2, "", f"semival: error: {message}\n")
+
+
+@pytest.mark.parametrize("stanza", [
+    "factor f1 on x y\n  table 1 0 0 1\nend\n",
+    "potential f1 on x y\n  focal 1 : (0 1)\nend\n",
+], ids=["factor", "potential"])
+@pytest.mark.parametrize("command", [["solve"], ["render"]])
+def test_tree_not_covering_its_assignment_is_a_parse_error(stanza, command):
+    text = (
+        "catalog\n  var x : 0 1\n  var y : 0 1\nend\nsemiring boolean\n"
+        "tree t\n  node 0 : x\n  node 1 : x y\n  edge 0 1\n  assign f1 0\nend\n"
+        f"{stanza}query x\n"
+    )
+    message = "line 10: factor 'f1' on {x y} not covered by node 0 labeled {x}"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
+    code, out, err = _run_stdin([*command, "-"], text)
+    assert (code, out, err) == (2, "", f"semival: error: {message}\n")
+
+
 def test_assign_may_precede_its_factor():
     text = (
         "catalog\n  var x : 0 1\nend\nsemiring boolean\n"
@@ -424,6 +479,34 @@ def test_solve_with_declared_tree():
     assert code == 0
     assert "tree: t (2 nodes, given)" in out
     assert "oracle deviation {a}: 0" in out
+
+
+_DEAD_VARIABLE = (
+    "catalog\n  var A : 0 1\n  var B : 0 1 2\nend\nsemiring arithmetic\n"
+    "factor f on A\n  table 0.5 1.5\nend\n"
+    "tree t\n  node 0 : A\n  node 1 : A B\n  edge 0 1\n  assign f 0\nend\nquery A\n"
+)
+
+
+@pytest.mark.parametrize("root", [[], ["--root", "0"], ["--root", "1"]])
+def test_declared_tree_label_variable_no_factor_mentions(root):
+    """``B`` is on a label but in no factor; nodes start from the scalar
+    identity, so it is never summed over and the answer is the oracle's."""
+    code, out, _ = _run_stdin(["solve", "-", "--oracle", *root], _DEAD_VARIABLE)
+    assert code == 0
+    assert "result {A}: 0.5 1.5\noracle deviation {A}: 0\n" in out
+
+
+@pytest.mark.parametrize("text, cap, domain", [
+    (_DEAD_VARIABLE, "5", "{A B}"),
+    (_DEAD_VARIABLE.replace("query A", "query"), "1", "{A}"),
+    (_DEAD_VARIABLE.replace("semiring arithmetic", "semiring boolean")
+     .replace("0.5 1.5", "0 1"), "5", "{A B}"),
+], ids=["node-without-factors", "first-label", "boolean"])
+def test_label_over_cap_fails_before_any_combination(text, cap, domain):
+    code, out, err = _run_stdin(["solve", "-", "--cap", cap], text)
+    assert (code, out) == (1, "")
+    assert err == f"semival: error: domain {domain} has more than {cap} configurations\n"
 
 
 def test_tolerance_flag():

@@ -477,7 +477,7 @@ def test_hypertree_collect_small_instances():
             ops = tc.ValuationOps(cat, sr)
             tree = sv.build_covering_join_tree([f.domain for f in factors])
             seq, order = sv.tree_to_sequence(tree)
-            node_factors = tc._node_factors(tree, factors, ops)
+            node_factors = oracles.label_unit_tables(tree, factors, ops)
             aligned = [node_factors[v] for v in order]
             result, psis = sv.hypertree_collect(seq, aligned, ops)
             expected = sv.naive_solve(factors, seq.domains[-1], ops)
@@ -513,7 +513,7 @@ def test_hypertree_tropical_global_maximum():
         seq = sv.EliminationSequence(base.domains + (sv.EMPTY_DOMAIN,),
                                      base.b + (len(base),))
         assert sv.verify_hypertree_sequence(seq)
-        node_factors = tc._node_factors(tree, factors, ops)
+        node_factors = oracles.label_unit_tables(tree, factors, ops)
         aligned = [node_factors[v] for v in order] + [ops.unit(sv.EMPTY_DOMAIN)]
         result, _ = sv.hypertree_collect(seq, aligned, ops)
         # brute force over the full joint table
@@ -641,3 +641,88 @@ def test_family_independence_closure_exhaustive_small():
             if doms[0]:
                 assert oracles.ci_family([sv.Domain(doms[0].names[1:]), *doms[1:]], z)
     assert checked > 100
+
+
+PINNED_SEMIRINGS = ("arithmetic", "boolean", "bottleneck", "fuzzy-product", "tropical",
+                    "chain(2)", "chain(5)", "int-arithmetic")
+
+
+def _same_bits(got, want) -> bool:
+    """Same domain, layout and cells, each cell of the same type and, for
+    floats, the same ``float.hex``."""
+    return (got.domain == want.domain and type(got.table) is type(want.table)
+            and len(got.values) == len(want.values)
+            and all(type(x) is type(y) and (x.hex() == y.hex() if type(x) is float
+                                            else x == y)
+                    for x, y in zip(got.values, want.values)))
+
+
+def _pinned_instance(rng, case, make):
+    """Factors made by ``make(cat, domain)`` on a tree built from their
+    domains; every other case moves each factor to a random node that
+    covers it, so that more nodes hold fewer factors than their label."""
+    cat = sv.VariableCatalog.of({f"x{i}": "ab"[:rng.randint(1, 2)]
+                                 for i in range(rng.randint(2, 10))})
+    names = [v.name for v in cat.variables]
+    factors = [make(cat, D(*rng.sample(names, rng.randint(1, min(3, len(names))))))
+               for _ in range(rng.randint(2, 10))]
+    tree = sv.build_covering_join_tree(
+        [f.domain for f in factors], heuristic=rng.choice(("min-degree", "min-fill")))
+    if case % 2:
+        tree = sv.LabeledTree(tree.labels, tree.edges, tuple(
+            rng.choice([v for v, label in enumerate(tree.labels) if f.domain <= label])
+            for f in factors))
+    return cat, factors, tree
+
+
+def _solve_everywhere(tree, factors, ops):
+    """The collect result at every root and the distribute results from it."""
+    out = []
+    for root in range(len(tree)):
+        result, store = sv.collect(tree, factors, root, ops)
+        out.append((result, sv.distribute(tree, factors, store, ops)))
+    return out
+
+
+def _against_label_units(monkeypatch, tree, factors, ops):
+    got = _solve_everywhere(tree, factors, ops)
+    with monkeypatch.context() as m:
+        m.setattr(tc, "_node_factors", oracles.label_unit_tables)
+        want = _solve_everywhere(tree, factors, ops)
+    return [(a, b) for (r, local), (ref, ref_local) in zip(got, want)
+            for a, b in zip([r, *local], [ref, *ref_local])]
+
+
+@pytest.mark.parametrize("name", PINNED_SEMIRINGS)
+def test_identity_start_matches_label_unit_tables(monkeypatch, name):
+    """Nodes start from the scalar identity; on trees built from the factor
+    domains every collect and distribute result, at every root, equals bit
+    for bit the one computed from node tables that span their labels.  A
+    quarter of the cases lower the array threshold so the numpy kernels run."""
+    rng = random.Random(f"identity:{name}")
+    sr = sv.get_instance(name.removeprefix("int-"))
+
+    def make(cat, d):
+        if name.startswith("int-"):
+            return sv.Valuation(cat, sr, d, tuple(rng.randint(0, 9)
+                                                  for _ in range(cat.config_count(d))))
+        return helpers.random_valuation(rng, cat, sr, d)
+
+    for case in range(1000):
+        cat, factors, tree = _pinned_instance(rng, case, make)
+        with monkeypatch.context() as m:
+            if case % 4 == 0:
+                m.setattr(sv.valuation, "ARRAY_MIN_CELLS", 8)
+            pairs = _against_label_units(monkeypatch, tree, factors, tc.ValuationOps(cat, sr))
+        assert all(_same_bits(a, b) for a, b in pairs), (name, case)
+
+
+def test_identity_start_matches_label_unit_tables_for_set_potentials(monkeypatch):
+    """Set potentials combine focal pairs in their left operand's order, which
+    may now be on the factors' domains; masses agree up to the comparator."""
+    rng = random.Random("identity:potentials")
+    for case in range(300):
+        cat, pots, tree = _pinned_instance(
+            rng, case, lambda cat, d: helpers.random_bpa(rng, cat, d))
+        pairs = _against_label_units(monkeypatch, tree, pots, tc.SetPotentialOps(cat))
+        assert all(helpers.potentials_equal(a, b) for a, b in pairs), case
