@@ -135,6 +135,7 @@ class _Parser:
         self.model: Model | None = None
         self.semiring_line: int | None = None
         self.declared: dict[str, int] = {}  # factor or potential name -> its line
+        self.partition_lines: dict[str, int] = {}  # partition name -> its line
         self.assign_lines: list[tuple[int, str, int, Domain]] = []  # (line, factor, node, label)
 
     def next_line(self) -> tuple[int, list[str]] | None:
@@ -291,15 +292,19 @@ class _Parser:
 
     def _stanza_partition(self, line_no, toks):
         model = self.model
-        if len(toks) < 5 or toks[2] != "of" or ":" not in toks:
+        if len(toks) < 5 or toks[2] != "of" or toks[4] != ":":
             raise ParseError(
                 "expected 'partition NAME of UNIVERSE : {a b} {c}'", line_no
             )
         name = toks[1]
+        if name in self.partition_lines:
+            raise ParseError(f"duplicate partition {name!r} "
+                             f"(first at line {self.partition_lines[name]})", line_no)
+        self.partition_lines[name] = line_no
         uni = model.universes.get(toks[3])
         if uni is None:
             raise ParseError(f"unknown universe {toks[3]!r}", line_no)
-        rest = " ".join(toks[toks.index(":") + 1:])
+        rest = " ".join(toks[5:])
         blocks = [tuple(b) for b in _groups(rest, "{}", "block list", line_no)]
         from .partitions import Partition
         model.partitions.append((name, Partition.of(uni, blocks)))
@@ -459,7 +464,9 @@ def render_model(model: Model) -> str:
 
 
 def _universe_name(model: Model, uni: Universe) -> str:
-    for name, u in model.universes.items():
-        if u == uni:
-            return name
+    """The universe a partition was declared on: the same object, else an equal one."""
+    for same in (lambda u: u is uni, lambda u: u == uni):
+        for name, u in model.universes.items():
+            if same(u):
+                return name
     raise ParseError("partition references an undeclared universe")

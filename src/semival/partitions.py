@@ -3,14 +3,14 @@
 Partitions are ordered the coarse-way-down: ``P <= Q`` holds when every
 block of ``Q`` lies inside a block of ``P`` (``Q`` refines ``P``), so the
 trivial one-block partition is the bottom and the singleton partition the
-top.  Join is the common refinement by nonempty block intersections; meet
-is the finest common coarsening, computed by closing singletons under the
-two saturation operators.
+top.  Every operation works on ``Partition.ids``, the block index of each
+element in universe order: join groups the elements by their pair of ids,
+and meet joins the blocks of one partition that a block of the other links.
 
 Conditional independence of two partitions given a third asks that within
-every conditioning block, compatible block pairs actually intersect; a
-seeded checker tests the quasi-separoid conditions over families of
-partitions.
+every conditioning block, compatible block pairs actually intersect; two
+partitions commute when they are independent given their meet.  A seeded
+checker tests the quasi-separoid conditions over families of partitions.
 
 All values are immutable and canonically ordered, so equality is
 structural and output deterministic.
@@ -85,120 +85,108 @@ class Partition:
         return cls(universe, tuple((e,) for e in universe.elements))
 
     @cached_property
-    def block_of(self) -> dict:
-        out = {}
-        for i, block in enumerate(self.blocks):
-            for e in block:
-                out[e] = i
-        return out
-
-    @cached_property
-    def block_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(b) for b in self.blocks)
+    def ids(self) -> tuple[int, ...]:
+        """Each element's block index, in universe order (a restricted growth string)."""
+        block = {e: i for i, b in enumerate(self.blocks) for e in b}
+        return tuple(block[e] for e in self.universe.elements)
 
     def __str__(self) -> str:
         return " ".join("{" + " ".join(str(e) for e in b) + "}" for b in self.blocks)
 
 
+def _from_keys(universe: Universe, keys: Iterable[Hashable]) -> Partition:
+    """Group the elements of the universe by their keys, given in universe order."""
+    groups: dict = {}
+    for e, k in zip(universe.elements, keys):
+        groups.setdefault(k, []).append(e)
+    return Partition.of(universe, groups.values())
+
+
 def partition_by(universe: Universe, key: Callable[[Label], Hashable]) -> Partition:
     """Group the universe by a key function (e.g. a coordinate projection)."""
-    groups: dict = {}
-    for e in universe.elements:
-        groups.setdefault(key(e), []).append(e)
-    return Partition.of(universe, groups.values())
+    return _from_keys(universe, map(key, universe.elements))
 
 
 def _same_universe(*parts: Partition):
     u = parts[0].universe
     for p in parts[1:]:
-        if p.universe != u:
+        if p.universe is not u and p.universe != u:
             raise MismatchError("partitions over different universes")
 
 
 def partition_leq(coarse: Partition, fine: Partition) -> bool:
-    """True when every block of ``fine`` lies inside a block of ``coarse``."""
+    """True when every block of ``fine`` lies inside a block of ``coarse``.
+
+    That is, each id of ``fine`` goes with one id of ``coarse``.
+    """
     _same_universe(coarse, fine)
-    lookup = coarse.block_of
-    for block in fine.blocks:
-        first = lookup[block[0]]
-        if any(lookup[e] != first for e in block[1:]):
-            return False
-    return True
+    to_coarse: dict = {}
+    return all(to_coarse.setdefault(f, c) == c for f, c in zip(fine.ids, coarse.ids))
 
 
 def partition_join(p1: Partition, p2: Partition) -> Partition:
     """Common refinement: the nonempty pairwise block intersections."""
     _same_universe(p1, p2)
-    groups: dict = {}
-    b1, b2 = p1.block_of, p2.block_of
-    for e in p1.universe.elements:
-        groups.setdefault((b1[e], b2[e]), []).append(e)
-    return Partition.of(p1.universe, groups.values())
+    return _from_keys(p1.universe, zip(p1.ids, p2.ids))
 
 
 def saturate(p: Partition, xs: Iterable[Label]) -> frozenset:
     """Smallest union of blocks of ``p`` covering ``xs``."""
-    lookup = p.block_of
+    pos = p.universe.position
     ids = set()
     for e in xs:
-        if e not in lookup:
+        if e not in pos:
             raise DomainError(f"unknown element {e!r}")
-        ids.add(lookup[e])
-    out: set = set()
-    for i in ids:
-        out.update(p.blocks[i])
-    return frozenset(out)
+        ids.add(p.ids[pos[e]])
+    return frozenset(e for e, i in zip(p.universe.elements, p.ids) if i in ids)
 
 
 def partition_meet(p1: Partition, p2: Partition) -> Partition:
-    """Finest common coarsening via singleton closure.
+    """Finest common coarsening.
 
-    Alternating the two saturation operators on a singleton reaches a
-    fixed point in at most ``len(universe)`` rounds; the fixed points are
-    the meet's blocks.
+    Its blocks are the connected components of the blocks of ``p1``, two
+    of them linked when a block of ``p2`` meets both (union-find).
     """
     _same_universe(p1, p2)
-    blocks: dict[frozenset, None] = {}
-    done: set = set()
-    for e in p1.universe.elements:
-        if e in done:
-            continue
-        x = frozenset([e])
-        while True:
-            nxt = saturate(p1, saturate(p2, x))
-            if nxt == x:
-                break
-            x = nxt
-        blocks[x] = None
-        done.update(x)
-    return Partition.of(p1.universe, blocks.keys())
+    parent = list(range(len(p1.blocks)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    linked: dict = {}  # id in p2 -> the id in p1 of its first element
+    for a, b in zip(p1.ids, p2.ids):
+        ra, rb = root(a), root(linked.setdefault(b, a))
+        parent[max(ra, rb)] = min(ra, rb)
+    return _from_keys(p1.universe, map(root, p1.ids))
 
 
 def partitions_commute(p1: Partition, p2: Partition) -> bool:
-    """Do the two saturation operators commute on every singleton?
+    """Do the two saturation operators commute?
 
-    Saturations distribute over unions, so singleton agreement implies
-    agreement on all subsets.
+    They do exactly when the partitions are conditionally independent
+    given their meet: inside every block of the meet, every block of
+    ``p1`` meets every block of ``p2``.
     """
-    _same_universe(p1, p2)
-    for e in p1.universe.elements:
-        if saturate(p1, saturate(p2, [e])) != saturate(p2, saturate(p1, [e])):
-            return False
-    return True
+    return cond_indep_partitions(p1, p2, partition_meet(p1, p2))
 
 
 def cond_indep_partitions(p1: Partition, p2: Partition, p: Partition) -> bool:
-    """Within every block of ``p``, compatible block pairs must intersect."""
+    """Within every block of ``p``, compatible block pairs must intersect.
+
+    That is, the pairs of ids of ``p1`` and ``p2`` met inside the block are
+    every pair of an id of ``p1`` seen there with an id of ``p2`` seen there.
+    """
     _same_universe(p1, p2, p)
-    for cond in p.block_sets:
-        touching1 = [b for b in p1.block_sets if b & cond]
-        touching2 = [b for b in p2.block_sets if b & cond]
-        for b1 in touching1:
-            shared = b1 & cond
-            for b2 in touching2:
-                if not shared & b2:
-                    return False
-    return True
+    met: dict = {}  # id in p -> the (id in p1, id in p2) pairs of its elements
+    for c, a, b in zip(p.ids, p1.ids, p2.ids):
+        met.setdefault(c, set()).add((a, b))
+    return all(
+        len(pairs) == len({a for a, _ in pairs}) * len({b for _, b in pairs})
+        for pairs in met.values()
+    )
 
 
 def lattice_cond_indep(p1: Partition, p2: Partition, p: Partition) -> bool:
@@ -207,17 +195,15 @@ def lattice_cond_indep(p1: Partition, p2: Partition, p: Partition) -> bool:
 
 
 def all_partitions(universe: Universe) -> list[Partition]:
-    """Every partition of the universe (use only for small universes)."""
-    elements = universe.elements
-    out: list[list[list[Label]]] = [[]]
-    for e in elements:
-        grown = []
-        for blocks in out:
-            for i in range(len(blocks)):
-                grown.append([b + [e] if j == i else list(b) for j, b in enumerate(blocks)])
-            grown.append([list(b) for b in blocks] + [[e]])
-        out = grown
-    return [Partition.of(universe, blocks) for blocks in out]
+    """Every partition of the universe (use only for small universes).
+
+    The id vectors come in lexicographic order: each element joins a
+    block already opened or opens the next one.
+    """
+    out: list[tuple[int, ...]] = [()]
+    for _ in universe.elements:
+        out = [ids + (i,) for ids in out for i in range(max(ids, default=-1) + 2)]
+    return [_from_keys(universe, ids) for ids in out]
 
 
 def _triple_witness(k: int, xyz: tuple) -> str:

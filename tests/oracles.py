@@ -440,3 +440,101 @@ def per_call_check_qseparoid(parts, exhaustive_limit=200_000, seed=0, indep=None
         subject="partition q-separoid", seed=seed, samples=len(triples), laws=laws,
         details=(f"family size {n}, {'exhaustive' if exhaustive else 'sampled'} triples",),
     )
+
+
+# --- the partition lattice on block sets -------------------------------------
+# The lattice operations as first written: a per-partition element -> block
+# lookup, frozenset blocks, meet as a saturation fixpoint and commutation as
+# saturations agreeing on every singleton.  The package computes them on
+# block-index vectors and must agree with these on every input.
+
+def _block_of(p) -> dict:
+    return {e: i for i, block in enumerate(p.blocks) for e in block}
+
+
+def _block_sets(p) -> tuple:
+    return tuple(frozenset(b) for b in p.blocks)
+
+
+def blockwise_partition_leq(coarse, fine) -> bool:
+    """True when every block of ``fine`` lies inside a block of ``coarse``."""
+    lookup = _block_of(coarse)
+    for block in fine.blocks:
+        first = lookup[block[0]]
+        if any(lookup[e] != first for e in block[1:]):
+            return False
+    return True
+
+
+def blockwise_partition_join(p1, p2):
+    """Common refinement: the nonempty pairwise block intersections."""
+    from semival.partitions import Partition
+    groups: dict = {}
+    b1, b2 = _block_of(p1), _block_of(p2)
+    for e in p1.universe.elements:
+        groups.setdefault((b1[e], b2[e]), []).append(e)
+    return Partition.of(p1.universe, groups.values())
+
+
+def blockwise_saturate(p, xs) -> frozenset:
+    """Smallest union of blocks of ``p`` covering ``xs``."""
+    lookup = _block_of(p)
+    out: set = set()
+    for i in {lookup[e] for e in xs}:
+        out.update(p.blocks[i])
+    return frozenset(out)
+
+
+def saturation_partition_meet(p1, p2):
+    """Finest common coarsening: each singleton closed under both saturations."""
+    from semival.partitions import Partition
+    blocks: dict[frozenset, None] = {}
+    done: set = set()
+    for e in p1.universe.elements:
+        if e in done:
+            continue
+        x = frozenset([e])
+        while True:
+            nxt = blockwise_saturate(p1, blockwise_saturate(p2, x))
+            if nxt == x:
+                break
+            x = nxt
+        blocks[x] = None
+        done.update(x)
+    return Partition.of(p1.universe, blocks.keys())
+
+
+def singleton_partitions_commute(p1, p2) -> bool:
+    """Do the two saturation operators commute on every singleton?"""
+    return all(
+        blockwise_saturate(p1, blockwise_saturate(p2, [e]))
+        == blockwise_saturate(p2, blockwise_saturate(p1, [e]))
+        for e in p1.universe.elements
+    )
+
+
+def blockwise_cond_indep_partitions(p1, p2, p) -> bool:
+    """Within every block of ``p``, compatible block pairs must intersect."""
+    for cond in _block_sets(p):
+        touching1 = [b for b in _block_sets(p1) if b & cond]
+        touching2 = [b for b in _block_sets(p2) if b & cond]
+        for b1 in touching1:
+            shared = b1 & cond
+            for b2 in touching2:
+                if not shared & b2:
+                    return False
+    return True
+
+
+def grown_all_partitions(universe) -> list:
+    """Every partition, grown one element at a time into each block or a new one."""
+    from semival.partitions import Partition
+    out: list[list[list]] = [[]]
+    for e in universe.elements:
+        grown = []
+        for blocks in out:
+            for i in range(len(blocks)):
+                grown.append([b + [e] if j == i else list(b) for j, b in enumerate(blocks)])
+            grown.append([list(b) for b in blocks] + [[e]])
+        out = grown
+    return [Partition.of(universe, blocks) for blocks in out]

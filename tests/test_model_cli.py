@@ -365,12 +365,38 @@ _TWO_VARS = "catalog\n  var x : 0 1\n  var y : 0 1\nend\n"
      "line 6: unbalanced '(' in configuration list"),
     ("universe u : 1 2 3\npartition p of u : {1 2} {3\n",
      "line 6: unbalanced '{' in block list"),
+    ("universe u : 1 2 3\npartition p of u junk : {1 2} {3}\n",
+     "line 6: expected 'partition NAME of UNIVERSE : {a b} {c}'"),
+    ("universe u : 1 2 3\npartition p of u : {1 2} {3}\npartition p of u : {1} {2 3}\n",
+     "line 7: duplicate partition 'p' (first at line 6)"),
 ], ids=["semiring", "potential", "universe", "partition", "tree", "sequence",
-        "hypothesis", "focal", "blocks"])
+        "hypothesis", "focal", "blocks", "partition-junk", "partition-twice"])
 def test_rejected_stanza_messages(stanza, message):
     with pytest.raises(ParseError) as exc:
         parse_model(_TWO_VARS + stanza)
     assert str(exc.value) == message
+
+
+def test_render_writes_the_universe_each_partition_names():
+    text = (_TWO_VARS + "universe u : 1 2\nuniverse w : 1 2\n"
+            "partition p of u : {1} {2}\npartition q of w : {1 2}\n")
+    assert render_model(parse_model(text)).endswith(
+        "universe u : 1 2\nuniverse w : 1 2\n"
+        "partition p of u : {1} {2}\npartition q of w : {1 2}\n")
+
+
+@pytest.mark.parametrize("partitions, message", [
+    ("universe u : 1 2 3 4\n"
+     "partition p of u : {1 2} {3 4}\npartition q of u : {1 3} {2 4}\n",
+     "family is not join-closed: join of [{1 2} {3 4}] and [{1 3} {2 4}] is missing"),
+    ("universe u : 1 2\nuniverse w : 3 4\n"
+     "partition p of u : {1 2}\npartition q of w : {3 4}\n",
+     "partitions over different universes"),
+], ids=["not-join-closed", "two-universes"])
+def test_qseparoid_family_errors(partitions, message):
+    code, out, err = _run_stdin(["check", "-", "--what", "qseparoid"],
+                                _TWO_VARS + partitions)
+    assert (code, out, err) == (1, "", f"semival: error: {message}\n")
 
 
 @pytest.mark.parametrize("path", sorted(MODELS.glob("*.sv")))

@@ -351,9 +351,43 @@ def test_commute_matches_block_pair_formulation():
         p1, p2 = _random_partition(rng, uni), _random_partition(rng, uni)
         meet = sv.partition_meet(p1, p2)
         blockwise = all(
-            b1 & b2
-            for c in meet.block_sets
-            for b1 in p1.block_sets if b1 <= c
-            for b2 in p2.block_sets if b2 <= c
+            set(b1) & set(b2)
+            for c in meet.blocks
+            for b1 in p1.blocks if set(b1) <= set(c)
+            for b2 in p2.blocks if set(b2) <= set(c)
         )
         assert sv.partitions_commute(p1, p2) == blockwise
+
+
+# --- the block-index operations against the block-set oracles ----------------
+
+def _agree_with_oracles(parts, rng):
+    for a in parts:
+        xs = _random_subset(rng, a.universe)
+        assert sv.saturate(a, xs) == oracles.blockwise_saturate(a, xs)
+    for a, b in itertools.product(parts, repeat=2):
+        assert sv.partition_leq(a, b) == oracles.blockwise_partition_leq(a, b)
+        assert sv.partition_join(a, b) == oracles.blockwise_partition_join(a, b)
+        assert sv.partition_meet(a, b) == oracles.saturation_partition_meet(a, b)
+        assert sv.partitions_commute(a, b) == oracles.singleton_partitions_commute(a, b)
+    for a, b, c in itertools.product(parts, repeat=3):
+        assert (sv.cond_indep_partitions(a, b, c)
+                == oracles.blockwise_cond_indep_partitions(a, b, c))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_lattice_matches_block_set_oracles_on_full_lattices(size):
+    _agree_with_oracles(sv.all_partitions(_universe(size)), random.Random(size))
+
+
+def test_lattice_matches_block_set_oracles_on_random_partitions():
+    rng = random.Random(15)
+    for _ in range(40):
+        uni = _universe(rng.randint(5, 7))
+        _agree_with_oracles([_random_partition(rng, uni) for _ in range(6)], rng)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
+def test_all_partitions_order_matches_grown_enumeration(size):
+    uni = _universe(size)
+    assert sv.all_partitions(uni) == oracles.grown_all_partitions(uni)
