@@ -464,9 +464,8 @@ def render_model(model: Model) -> str:
 
 
 def _universe_name(model: Model, uni: Universe) -> str:
-    """The universe a partition was declared on: the same object, else an equal one."""
-    for same in (lambda u: u is uni, lambda u: u == uni):
-        for name, u in model.universes.items():
-            if same(u):
-                return name
+    """The universe that a partition's stanza named."""
+    for name, u in model.universes.items():
+        if u is uni:
+            return name
     raise ParseError("partition references an undeclared universe")

@@ -110,7 +110,7 @@ def partition_by(universe: Universe, key: Callable[[Label], Hashable]) -> Partit
 def _same_universe(*parts: Partition):
     u = parts[0].universe
     for p in parts[1:]:
-        if p.universe is not u and p.universe != u:
+        if p.universe != u:
             raise MismatchError("partitions over different universes")
 
 
