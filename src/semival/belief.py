@@ -18,7 +18,6 @@ touch all ``2^k`` subsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -28,6 +27,7 @@ from .domains import Domain, VariableCatalog
 from .errors import (
     CapacityError,
     DomainError,
+    Frozen,
     MassError,
     MismatchError,
     TotalConflictError,
@@ -40,22 +40,28 @@ RAW = "raw"
 BPA = "bpa"
 
 
-@dataclass(frozen=True)
-class FocalSet:
+class FocalSet(Frozen):
     """A canonically sorted set of configurations over one domain."""
 
-    domain: Domain
-    configs: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        ordered = tuple(sorted(set(self.configs)))
-        object.__setattr__(self, "configs", ordered)
-        k = len(self.domain)
+    def __init__(self, domain: Domain, configs: tuple[tuple[int, ...], ...]):
+        ordered = tuple(sorted(set(configs)))
+        k = len(domain)
         for values in ordered:
             if len(values) != k:
                 raise DomainError(
-                    f"configuration {values} does not fit domain {self.domain}"
+                    f"configuration {values} does not fit domain {domain}"
                 )
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "configs", ordered)
+
+    # no _key(): focal sets are the keys of every mass and belief table
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.configs == other.configs and self.domain == other.domain
+
+    def __hash__(self):
+        return hash((self.domain.names, self.configs))
 
     @classmethod
     def of(cls, cat: VariableCatalog, domain: Domain,
@@ -87,22 +93,27 @@ class FocalSet:
         return len(self.configs)
 
 
-@dataclass(frozen=True, eq=False)
-class SetPotential:
-    catalog: VariableCatalog
-    domain: Domain
-    focal: tuple[tuple[FocalSet, float], ...]
-    kind: str = RAW
-    conflict: float | None = None
+class SetPotential(Frozen):
+    """Compared and hashed by identity, as valuations are."""
 
-    def __post_init__(self):
-        for fs, mass in self.focal:
-            if fs.domain != self.domain:
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, catalog: VariableCatalog, domain: Domain,
+                 focal: tuple[tuple[FocalSet, float], ...], kind: str = RAW,
+                 conflict: float | None = None):
+        for fs, mass in focal:
+            if fs.domain != domain:
                 raise DomainError(
-                    f"focal set over {fs.domain} in potential over {self.domain}"
+                    f"focal set over {fs.domain} in potential over {domain}"
                 )
             if mass <= 0:
                 raise MassError(f"non-positive mass {mass}")
+        object.__setattr__(self, "catalog", catalog)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "focal", focal)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "conflict", conflict)
 
     @cached_property
     def by_set(self) -> dict[FocalSet, float]:

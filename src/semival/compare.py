@@ -9,15 +9,21 @@ a single place to tighten or loosen floating-point equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .errors import Frozen
 
 
-@dataclass(frozen=True)
-class Comparator:
+class Comparator(Frozen):
     """Absolute + relative tolerance equality for real numbers."""
 
-    rel: float = 1e-9
-    abs: float = 1e-12
+    __slots__ = ("rel", "abs")
+
+    def __init__(self, rel: float = 1e-9, abs: float = 1e-12):
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "abs", abs)
+
+    def _key(self) -> tuple:
+        return (self.rel, self.abs)
 
     def eq(self, a: float, b: float) -> bool:
         if a == b:

@@ -19,31 +19,36 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, Frozen
 
 #: Dense enumeration guard: configuration counts above this raise
 #: :class:`CapacityError` unless the caller passes a different cap.
 DEFAULT_CONFIG_CAP = 2**24
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Frozen):
     """A set of variable names, kept sorted in the global name order.
 
     The empty domain is allowed; it is the bottom of the subset lattice
     and has exactly one (empty) configuration.
     """
 
-    names: tuple[str, ...] = ()
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        ordered = tuple(sorted(set(self.names)))
-        if ordered != self.names:
-            object.__setattr__(self, "names", ordered)
+    def __init__(self, names: tuple[str, ...] = ()):
+        object.__setattr__(self, "names", tuple(sorted(set(names))))
+
+    # no _key(): domains are compared and hashed on every table operation
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self):
+        return hash(self.names)
 
     @classmethod
     def of(cls, *names: str) -> "Domain":
@@ -99,32 +104,44 @@ def cond_indep_subsets(s: Domain, t: Domain, r: Domain) -> bool:
     return (s & t) <= r
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    frame: tuple[str, ...]
+class Variable(Frozen):
+    __slots__ = ("name", "frame")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, frame: tuple[str, ...]):
+        if not name:
             raise DomainError("variable name must be nonempty")
-        if not self.frame:
-            raise DomainError(f"variable {self.name!r} has an empty frame")
-        if len(set(self.frame)) != len(self.frame):
-            raise DomainError(f"variable {self.name!r} has duplicate frame values")
+        if not frame:
+            raise DomainError(f"variable {name!r} has an empty frame")
+        if len(set(frame)) != len(frame):
+            raise DomainError(f"variable {name!r} has duplicate frame values")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "frame", frame)
+
+    def _key(self) -> tuple:
+        return (self.name, self.frame)
 
 
-@dataclass(frozen=True)
-class VariableCatalog:
+class VariableCatalog(Frozen):
     """Named variables with finite frames under a fixed total name order."""
 
-    variables: tuple[Variable, ...]
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.variables, key=lambda v: v.name))
+    def __init__(self, variables: tuple[Variable, ...]):
+        ordered = tuple(sorted(variables, key=lambda v: v.name))
         names = [v.name for v in ordered]
         if len(set(names)) != len(names):
             raise DomainError("duplicate variable names in catalog")
         object.__setattr__(self, "variables", ordered)
+
+    # no _key(), and an identity test first: every operation on two tables
+    # compares their catalogs, which are almost always one object
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.variables == other.variables
+
+    def __hash__(self):
+        return hash(self.variables)
 
     @classmethod
     def of(cls, spec: Mapping[str, Iterable[str]]) -> "VariableCatalog":
@@ -154,8 +171,11 @@ class VariableCatalog:
             raise DomainError(f"unknown variable {name!r}") from None
 
     def domain(self, *names: str) -> Domain:
-        d = Domain(tuple(names))
-        self.check_domain(d)
+        """The domain of ``names``, each a declared variable listed once."""
+        d = self.check_domain(Domain(names))
+        if len(d) != len(names):
+            twice = next(n for n in names if names.count(n) > 1)
+            raise DomainError(f"variable {twice!r} listed twice")
         return d
 
     def check_domain(self, d: Domain) -> Domain:
@@ -182,19 +202,22 @@ class VariableCatalog:
         return n
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Frozen):
     """One frame-value index per variable of a domain."""
 
-    domain: Domain
-    values: tuple[int, ...] = field(default=())
+    __slots__ = ("domain", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.domain):
+    def __init__(self, domain: Domain, values: tuple[int, ...] = ()):
+        if len(values) != len(domain):
             raise DomainError(
-                f"configuration has {len(self.values)} values "
-                f"for domain of size {len(self.domain)}"
+                f"configuration has {len(values)} values "
+                f"for domain of size {len(domain)}"
             )
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "values", values)
+
+    def _key(self) -> tuple:
+        return (self.domain, self.values)
 
 
 def restrict(c: Configuration, s: Domain) -> Configuration:

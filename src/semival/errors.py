@@ -1,8 +1,36 @@
-"""Shared exception types.
+"""Shared exception types, and the base of the immutable value types.
 
 The CLI maps these onto exit codes: parse problems exit 2, capability
 problems exit 3, everything else that reaches the top level exits 1.
 """
+
+
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass sets its fields once, in ``__init__``, through
+    ``object.__setattr__``; assigning or deleting one afterwards raises
+    ``AttributeError``.  Two values are equal, and hash alike, when they
+    are of one class and their ``_key()`` tuples of fields are equal.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class SemivalError(Exception):

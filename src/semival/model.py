@@ -11,7 +11,6 @@ text that parses back to structurally equal objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .compare import DEFAULT_COMPARATOR, Comparator
@@ -28,12 +27,21 @@ if TYPE_CHECKING:  # imported where a stanza needs them, so a command loads only
     from .valuation import Valuation
 
 
-@dataclass
 class NamedTree:
-    name: str
-    labels: tuple[Domain, ...]
-    edges: tuple[tuple[int, int], ...]
-    assigned: dict[str, int] = field(default_factory=dict)  # factor name -> node
+    __slots__ = ("name", "labels", "edges", "assigned")
+
+    def __init__(self, name: str, labels: tuple[Domain, ...],
+                 edges: tuple[tuple[int, int], ...], assigned: dict[str, int] | None = None):
+        self.name = name
+        self.labels = labels
+        self.edges = edges
+        self.assigned = {} if assigned is None else assigned  # factor name -> node
+
+    def __eq__(self, other):  # by value, so unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.labels, self.edges, self.assigned)
+                == (other.name, other.labels, other.edges, other.assigned))
 
     def structure(self, factor_names: Sequence[str] = ()) -> LabeledTree:
         """The labeled tree, holding each named factor at its assigned node."""
@@ -48,20 +56,40 @@ class NamedTree:
         )
 
 
-@dataclass
 class Model:
-    catalog: VariableCatalog
-    semiring_name: str | None = None
-    factors: list[tuple[str, Valuation]] = field(default_factory=list)
-    potentials: list[tuple[str, SetPotential]] = field(default_factory=list)
-    universes: dict[str, Universe] = field(default_factory=dict)
-    partitions: list[tuple[str, Partition]] = field(default_factory=list)
-    trees: list[NamedTree] = field(default_factory=list)
-    sequences: list[tuple[str, EliminationSequence]] = field(default_factory=list)
-    queries: list[Domain] = field(default_factory=list)
-    hypotheses: list[tuple[str, FocalSet]] = field(default_factory=list)
-    _semirings: dict[tuple[str, Comparator], Semiring] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    """What a model file declares; compared by value, so unhashable."""
+
+    __slots__ = ("catalog", "semiring_name", "factors", "potentials", "universes",
+                 "partitions", "trees", "sequences", "queries", "hypotheses",
+                 "_semirings")
+
+    def __init__(self, catalog: VariableCatalog, semiring_name: str | None = None,
+                 factors: list[tuple[str, Valuation]] | None = None,
+                 potentials: list[tuple[str, SetPotential]] | None = None,
+                 universes: dict[str, Universe] | None = None,
+                 partitions: list[tuple[str, Partition]] | None = None,
+                 trees: list[NamedTree] | None = None,
+                 sequences: list[tuple[str, EliminationSequence]] | None = None,
+                 queries: list[Domain] | None = None,
+                 hypotheses: list[tuple[str, FocalSet]] | None = None):
+        self.catalog = catalog
+        self.semiring_name = semiring_name
+        self.factors = [] if factors is None else factors
+        self.potentials = [] if potentials is None else potentials
+        self.universes = {} if universes is None else universes
+        self.partitions = [] if partitions is None else partitions
+        self.trees = [] if trees is None else trees
+        self.sequences = [] if sequences is None else sequences
+        self.queries = [] if queries is None else queries
+        self.hypotheses = [] if hypotheses is None else hypotheses
+        self._semirings: dict[tuple[str, Comparator], Semiring] = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__slots__[:-1]  # the semiring cache is not compared
+        return ([getattr(self, f) for f in fields]
+                == [getattr(other, f) for f in fields])
 
     def semiring(self, comparator: Comparator = DEFAULT_COMPARATOR) -> Semiring:
         """The declared semiring: one shared instance per comparator.

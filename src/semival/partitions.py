@@ -20,25 +20,25 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import DomainError, MismatchError
+from .errors import DomainError, Frozen, MismatchError
 from .reports import CheckReport, run_law
 
 Label = Hashable
 
 
-@dataclass(frozen=True)
-class Universe:
-    elements: tuple[Label, ...]
-
-    def __post_init__(self):
-        if not self.elements:
+class Universe(Frozen):
+    def __init__(self, elements: tuple[Label, ...]):
+        if not elements:
             raise DomainError("universe must be nonempty")
-        if len(set(self.elements)) != len(self.elements):
+        if len(set(elements)) != len(elements):
             raise DomainError("universe labels must be distinct")
+        object.__setattr__(self, "elements", elements)
+
+    def _key(self) -> tuple:
+        return (self.elements,)
 
     @cached_property
     def position(self) -> dict:
@@ -48,16 +48,12 @@ class Universe:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class Partition:
-    universe: Universe
-    blocks: tuple[tuple[Label, ...], ...]
-
-    def __post_init__(self):
-        pos = self.universe.position
+class Partition(Frozen):
+    def __init__(self, universe: Universe, blocks: tuple[tuple[Label, ...], ...]):
+        pos = universe.position
         seen: set = set()
         canonical = []
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise DomainError("empty block")
             for e in block:
@@ -67,10 +63,14 @@ class Partition:
                     raise DomainError(f"element {e!r} appears in two blocks")
                 seen.add(e)
             canonical.append(tuple(sorted(block, key=pos.__getitem__)))
-        if len(seen) != len(self.universe):
+        if len(seen) != len(universe):
             raise DomainError("blocks do not cover the universe")
         canonical.sort(key=lambda b: pos[b[0]])
+        object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "blocks", tuple(canonical))
+
+    def _key(self) -> tuple:
+        return (self.universe, self.blocks)
 
     @classmethod
     def of(cls, universe: Universe, blocks: Iterable[Iterable[Label]]) -> "Partition":

@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, count, starmap
 from operator import not_
 from typing import Callable, Sequence
+
+from .errors import Frozen
 
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "n/a"
 
 
-@dataclass(frozen=True)
-class LawResult:
-    law: str
-    status: str
-    witness: str | None = None
+class LawResult(Frozen):
+    __slots__ = ("law", "status", "witness")
+
+    def __init__(self, law: str, status: str, witness: str | None = None):
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+
+    def _key(self) -> tuple:
+        return (self.law, self.status, self.witness)
 
     def line(self) -> str:
         out = f"law {self.law}: {self.status}"
@@ -43,15 +49,21 @@ def run_law(name: str, pred: Callable[..., bool], *, trials: Sequence[tuple],
     return LawResult(name, FAIL, witness(k, trials[k]))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Frozen):
     """Outcome of a randomized or exhaustive law check, seed recorded."""
 
-    subject: str
-    seed: int
-    samples: int
-    laws: tuple[LawResult, ...]
-    details: tuple[str, ...] = field(default=())
+    __slots__ = ("subject", "seed", "samples", "laws", "details")
+
+    def __init__(self, subject: str, seed: int, samples: int,
+                 laws: tuple[LawResult, ...], details: tuple[str, ...] = ()):
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "laws", laws)
+        object.__setattr__(self, "details", details)
+
+    def _key(self) -> tuple:
+        return (self.subject, self.seed, self.samples, self.laws, self.details)
 
     @property
     def passed(self) -> bool:

@@ -4,7 +4,7 @@ A :class:`Semiring` bundles the two operations with their neutral
 elements and three capability flags:
 
 * ``idempotent_add`` -- ``a + a == a``; gates the transport operation on
-  valuations and the transport-form message passing,
+  valuations and hypertree elimination,
 * ``positive`` -- ``a + b == 0`` forces ``a == b == 0``; gates null
   detection through projection,
 * ``idempotent_mul`` -- ``a * a == a``; together with ``idempotent_add``
@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, replace
 from functools import partial
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable
 
 from .compare import DEFAULT_COMPARATOR, Comparator
-from .errors import DomainError
+from .errors import DomainError, Frozen
 
 if TYPE_CHECKING:
     from .reports import CheckReport
@@ -51,20 +50,23 @@ def format_value(v) -> str:
     return format(float(v), ".12g")
 
 
-@dataclass(frozen=True, eq=False)
-class Semiring:
-    name: str
-    carrier: str
-    add: Callable
-    mul: Callable
-    zero: object | None
-    one: object
-    idempotent_add: bool
-    positive: bool
-    idempotent_mul: bool
-    eq: Callable
-    sample: Callable  # random.Random -> carrier element
-    member: Callable  # value -> bool: is it in the carrier?
+class Semiring(Frozen):
+    """Compared and hashed by identity: two instances may share a name."""
+
+    __slots__ = ("name", "carrier", "add", "mul", "zero", "one", "idempotent_add",
+                 "positive", "idempotent_mul", "eq", "sample", "member")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, carrier: str, add: Callable, mul: Callable,
+                 zero: object | None, one: object, idempotent_add: bool,
+                 positive: bool, idempotent_mul: bool, eq: Callable,
+                 sample: Callable,  # random.Random -> carrier element
+                 member: Callable):  # value -> bool: is it in the carrier?
+        for field, value in zip(self.__slots__, (
+                name, carrier, add, mul, zero, one, idempotent_add, positive,
+                idempotent_mul, eq, sample, member)):
+            object.__setattr__(self, field, value)
 
     def parse(self, text: str):
         """Read one table value; text outside the carrier raises DomainError."""
@@ -300,4 +302,5 @@ def check_semiring_axioms(
 
 def corrupted(sr: Semiring, **overrides) -> Semiring:
     """A copy of ``sr`` with fields forced; used to exercise the checker."""
-    return replace(sr, **overrides)
+    fields = {field: getattr(sr, field) for field in Semiring.__slots__}
+    return Semiring(**{**fields, **overrides})

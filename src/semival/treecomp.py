@@ -15,18 +15,14 @@ for either semiring valuations (:class:`ValuationOps`) or set potentials
 * ``supports_transport``, ``supports_idempotent_distribute`` --
   capability flags gating the hypertree schemes.
 
-Every value carries its own ``.domain``.  Two message forms exist for
-valuations:
-
-* transport form -- messages live on the receiving node's full label;
-  valid when the semiring has idempotent addition,
-* projection form -- messages live within the edge separator (label
-  intersection); valid for every semiring.
-
-``ValuationOps.message`` picks transport form exactly when the semiring
-has idempotent addition.  Every node starts from the scalar identity
-``unit(EMPTY_DOMAIN)`` and holds only its own factors, combined on
-their own domains; this is the adjoined identity of covering join trees
+Every value carries its own ``.domain``.  A valuation message is the
+sender's information projected to the variables it shares with the
+receiving label, so it lies within the edge separator, whatever the
+semiring: extending it to the whole label, as idempotent addition would
+allow, only multiplies by ``one``.  A set-potential message is
+transported to the receiving label.  Every node starts from the scalar
+identity ``unit(EMPTY_DOMAIN)`` and holds only its own factors, combined
+on their own domains; this is the adjoined identity of covering join trees
 (Schneuwly, Pouly & Kohlas 2004).  A node's result therefore spans the
 variables of its label that some factor mentions, and a label variable
 no factor mentions is never summed over.  Collect computes the combined
@@ -45,13 +41,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Sequence
 
 from . import domains as dm
 from .domains import Domain, VariableCatalog
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, Frozen
 from .semiring import Semiring
 
 
@@ -60,25 +55,21 @@ def join_of(domains: Sequence[Domain]) -> Domain:
     return Domain(tuple(set().union(*(d.names for d in domains))))
 
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(Frozen):
     """A tree whose nodes carry domains; factors are assigned to nodes.
 
     ``assignment[k]`` is the node holding factor ``k``; every factor's
     domain must be covered by its node's label.
     """
 
-    labels: tuple[Domain, ...]
-    edges: tuple[tuple[int, int], ...]
-    assignment: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        n = len(self.labels)
+    def __init__(self, labels: tuple[Domain, ...], edges: tuple[tuple[int, int], ...],
+                 assignment: tuple[int, ...] = ()):
+        n = len(labels)
         if n == 0:
             raise DomainError("tree must have at least one node")
         norm = []
         seen = set()
-        for a, b in self.edges:
+        for a, b in edges:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise DomainError(f"bad edge ({a}, {b})")
             e = (min(a, b), max(a, b))
@@ -86,14 +77,19 @@ class LabeledTree:
                 raise DomainError(f"duplicate edge {e}")
             seen.add(e)
             norm.append(e)
+        if len(norm) != n - 1:
+            raise DomainError(f"{n} nodes need {n - 1} edges, got {len(norm)}")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
-        if len(self.edges) != n - 1:
-            raise DomainError(f"{n} nodes need {n - 1} edges, got {len(self.edges)}")
+        object.__setattr__(self, "assignment", assignment)
         if len(self.rooted_order(0)[0]) != n:
             raise DomainError("tree is not connected")
-        for k, v in enumerate(self.assignment):
+        for k, v in enumerate(assignment):
             if not 0 <= v < n:
                 raise DomainError(f"factor {k} assigned to missing node {v}")
+
+    def _key(self) -> tuple:
+        return (self.labels, self.edges, self.assignment)
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -145,22 +141,25 @@ def is_markov_tree(tree: LabeledTree) -> bool:
     return is_join_tree(tree)
 
 
-@dataclass(frozen=True)
-class EliminationSequence:
+class EliminationSequence(Frozen):
     """Domains ``x_0..x_{n-1}`` with a forward pointer ``b`` for each i < n-1."""
 
-    domains: tuple[Domain, ...]
-    b: tuple[int, ...]
+    __slots__ = ("domains", "b")
 
-    def __post_init__(self):
-        n = len(self.domains)
+    def __init__(self, domains: tuple[Domain, ...], b: tuple[int, ...]):
+        n = len(domains)
         if n == 0:
             raise DomainError("empty elimination sequence")
-        if len(self.b) != n - 1:
-            raise DomainError(f"{n} domains need {n - 1} pointers, got {len(self.b)}")
-        for i, j in enumerate(self.b):
+        if len(b) != n - 1:
+            raise DomainError(f"{n} domains need {n - 1} pointers, got {len(b)}")
+        for i, j in enumerate(b):
             if not i < j < n:
                 raise DomainError(f"pointer b({i}) = {j} must satisfy {i} < b({i}) < {n}")
+        object.__setattr__(self, "domains", domains)
+        object.__setattr__(self, "b", b)
+
+    def _key(self) -> tuple:
+        return (self.domains, self.b)
 
     def __len__(self) -> int:
         return len(self.domains)
@@ -367,8 +366,6 @@ class ValuationOps:
         return self._va.transport(a, d, cap=self.cap)
 
     def message(self, a, target: Domain):
-        if self.semiring.idempotent_add:
-            return self._va.transport(a, target, cap=self.cap)
         return self._va.project(a, a.domain & target)
 
     def solve_to(self, a, x: Domain):
@@ -426,13 +423,22 @@ class SetPotentialOps:
         return max((abs(a.mass(k) - b.mass(k)) for k in keys), default=0.0)
 
 
-@dataclass
 class MessageStore:
     """Inward messages cached by collect, keyed by directed edge (w -> v)."""
 
-    root: int
-    messages: dict[tuple[int, int], object] = field(default_factory=dict)
-    node_factors: tuple = ()
+    __slots__ = ("root", "messages", "node_factors")
+
+    def __init__(self, root: int, messages: dict[tuple[int, int], object] | None = None,
+                 node_factors: tuple = ()):
+        self.root = root
+        self.messages = {} if messages is None else messages
+        self.node_factors = node_factors
+
+    def __eq__(self, other):  # by value, so unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.root, self.messages, self.node_factors)
+                == (other.root, other.messages, other.node_factors))
 
 
 def _node_factors(tree: LabeledTree, factors: Sequence, ops) -> list:

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from . import domains as dm
 from .domains import Domain, VariableCatalog
-from .errors import CapabilityError, DomainError, MassError, MismatchError
+from .errors import CapabilityError, DomainError, Frozen, MassError, MismatchError
 from .semiring import Semiring
 
 import random
@@ -80,32 +79,35 @@ def _float_array(table):
     return _numpy().array(table, dtype=float)
 
 
-@dataclass(frozen=True, eq=False)
-class Valuation:
+class Valuation(Frozen):
     """A semiring value per configuration of ``domain``, in row-major order.
 
     ``table`` is a tuple, or a read-only float64 array for a large
     all-float table (see the module docstring); :attr:`values` gives the
-    cells as Python scalars either way.
+    cells as Python scalars either way.  Valuations are compared and
+    hashed by identity; :func:`valuations_equal` compares their cells.
     """
 
-    catalog: VariableCatalog
-    semiring: Semiring
-    domain: Domain
-    table: tuple | numpy.ndarray
+    __slots__ = ("catalog", "semiring", "domain", "table")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        expected = self.catalog.config_count(self.domain, cap=None)
-        if len(self.table) != expected:
+    def __init__(self, catalog: VariableCatalog, semiring: Semiring, domain: Domain,
+                 table: tuple | numpy.ndarray):
+        expected = catalog.config_count(domain, cap=None)
+        if len(table) != expected:
             raise DomainError(
-                f"table has {len(self.table)} entries, domain {self.domain} "
-                f"needs {expected}"
+                f"table has {len(table)} entries, domain {domain} needs {expected}"
             )
-        if (expected >= ARRAY_MIN_CELLS and type(self.table) is tuple
-                and _array_semiring(self.semiring)):
-            array = _float_array(self.table)
+        if (expected >= ARRAY_MIN_CELLS and type(table) is tuple
+                and _array_semiring(semiring)):
+            array = _float_array(table)
             if array is not None:
-                object.__setattr__(self, "table", _frozen(array))
+                table = _frozen(array)
+        object.__setattr__(self, "catalog", catalog)
+        object.__setattr__(self, "semiring", semiring)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "table", table)
 
     def __mul__(self, other: "Valuation") -> "Valuation":
         return combine(self, other)

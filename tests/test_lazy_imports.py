@@ -2,9 +2,11 @@
 
 Every job is a fresh process, so compiling a module it never calls is pure
 start-up cost.  Each command runs in a fresh interpreter, which then lists
-the ``semival.*`` modules in ``sys.modules``.  The model reader loads a
-stanza's module when it meets the stanza, so each probe model holds only
-the stanzas its command reads.
+the ``semival.*`` modules in ``sys.modules``, and which of ``dataclasses``
+and ``inspect`` it loaded: no command may load them, as importing them and
+generating a dataclass's methods cost a job tens of milliseconds.  The
+model reader loads a stanza's module when it meets the stanza, so each
+probe model holds only the stanzas its command reads.
 """
 
 import os
@@ -17,11 +19,14 @@ import pytest
 HERE = Path(__file__).parent
 SRC = HERE.parent / "src"
 
+SLOW = ("dataclasses", "inspect")
+
 PROBE = (
     "import sys\n"
     "from semival import cli\n"
     "code = cli.main(sys.argv[1:])\n"
     "print('loaded:', *sorted(m for m in sys.modules if m.startswith('semival.')))\n"
+    f"print('slow:', *(m for m in {SLOW!r} if m in sys.modules))\n"
     "sys.exit(code)\n"
 )
 
@@ -76,10 +81,29 @@ def test_command_loads_only_what_it_runs(case, workdir):
     argv, absent = CASES[case]
     proc = _run(["-c", PROBE, *argv], workdir)
     assert proc.returncode == 0, proc.stderr
-    *report, probe = proc.stdout.splitlines()
+    *report, probe, slow = proc.stdout.splitlines()
     assert report[-1] in ("status: ok", "result: pass"), proc.stdout
     loaded = {m.removeprefix("semival.") for m in probe.split()[1:]}
     assert not loaded & absent, sorted(loaded & absent)
+    assert slow == "slow:", slow
+
+
+def test_no_submodule_loads_dataclasses_or_inspect(workdir):
+    import semival
+
+    code = (
+        "import sys\n"
+        "import semival\n"
+        "for name in semival._SUBMODULES:\n"
+        "    getattr(semival, name)\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('semival.')))\n"
+        f"print(*(m for m in {SLOW!r} if m in sys.modules))\n"
+    )
+    proc = _run(["-c", code], workdir)
+    assert proc.returncode == 0, proc.stderr
+    loaded, slow = proc.stdout.splitlines()
+    assert loaded.split() == sorted(f"semival.{m}" for m in semival._SUBMODULES)
+    assert slow == "", slow
 
 
 def test_package_import_loads_no_submodule_and_resolves_them_lazily(workdir):

@@ -377,6 +377,35 @@ def test_rejected_stanza_messages(stanza, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("stanza, line, var", [
+    ("semiring boolean\nfactor f on x x\n  table 1 0\nend\n", 6, "x"),
+    ("semiring boolean\nfactor f on x x\n  table 1 0 0 1\nend\n", 6, "x"),
+    ("semiring boolean\nfactor f on y x y\n  table 1 0 0 1\nend\n", 6, "y"),
+    ("potential p on y y\n  focal 1 : (0 0)\nend\n", 5, "y"),
+    ("hypothesis h on y y : (0 0)\n", 5, "y"),
+    ("query x y x\n", 5, "x"),
+    ("tree t\n  node 0 : x x\nend\n", 6, "x"),
+    ("sequence s\n  step y y -> 2\n  step y\nend\n", 6, "y"),
+    ("sequence s\n  step x\nend\nsequence r\n  step y x y\nend\n", 9, "y"),
+], ids=["factor", "factor-4-values", "factor-3-names", "potential", "hypothesis",
+        "query", "tree-node", "sequence-pointer", "sequence-last"])
+def test_variable_listed_twice_is_a_parse_error(stanza, line, var):
+    message = f"line {line}: variable {var!r} listed twice"
+    with pytest.raises(ParseError) as exc:
+        parse_model(_TWO_VARS + stanza)
+    assert str(exc.value) == message
+    code, out, err = _run_stdin(["render", "-"], _TWO_VARS + stanza)
+    assert (code, out, err) == (2, "", f"semival: error: {message}\n")
+
+
+@pytest.mark.parametrize("query", ["x x", "x,x", "y x y"])
+def test_query_flag_variable_listed_twice_is_a_parse_error(query):
+    code, out, err = run_cli(["solve", "models/chain.sv", "--query", query])
+    var = "y" if "y" in query else "x"
+    assert (code, out) == (2, "")
+    assert err == f"semival: error: bad --query {query!r}: variable {var!r} listed twice\n"
+
+
 def test_render_writes_the_universe_each_partition_names():
     text = (_TWO_VARS + "universe u : 1 2\nuniverse w : 1 2\n"
             "partition p of u : {1} {2}\npartition q of w : {1 2}\n")

@@ -596,7 +596,7 @@ def test_set_potentials_through_trees():
         sv.hypertree_distribute(seq, psis, ops)
 
 
-def test_transport_form_messages_live_on_receiving_labels():
+def test_idempotent_messages_live_on_separators():
     rng = random.Random(10)
     bo = sv.get_instance("boolean")
     cat, factors = helpers.random_instance(rng, bo, max_vars=5)
@@ -605,8 +605,9 @@ def test_transport_form_messages_live_on_receiving_labels():
     root = len(tree) - 1
     _, store = sv.collect(tree, factors, root, ops)
     sv.distribute(tree, factors, store, ops)
+    assert len(store.messages) == 2 * (len(tree) - 1)
     for (src, dst), message in store.messages.items():
-        assert message.domain == tree.labels[dst]
+        assert message.domain <= (tree.labels[src] & tree.labels[dst])
 
 
 def test_projection_form_messages_live_on_separators():
