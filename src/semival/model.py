@@ -163,7 +163,7 @@ class _Parser:
         self.model: Model | None = None
         self.semiring_line: int | None = None
         self.declared: dict[str, int] = {}  # factor or potential name -> its line
-        self.partition_lines: dict[str, int] = {}  # partition name -> its line
+        self.named_lines: dict[tuple[str, str], int] = {}  # (stanza, name) -> its line
         self.assign_lines: list[tuple[int, str, int, Domain]] = []  # (line, factor, node, label)
 
     def next_line(self) -> tuple[int, list[str]] | None:
@@ -240,6 +240,13 @@ class _Parser:
         self.semiring_line = line_no
         self.model.semiring_name = toks[1]
         self.model.semiring(self.comparator)  # validate early
+
+    def _first_named(self, kind: str, name: str, line_no: int):
+        """Record a named partition, tree, sequence or hypothesis stanza; a
+        second one of that kind and name is an error at its line."""
+        first = self.named_lines.setdefault((kind, name), line_no)
+        if first != line_no:
+            raise ParseError(f"duplicate {kind} {name!r} (first at line {first})", line_no)
 
     def _domain_from(self, names, line_no) -> Domain:
         try:
@@ -325,10 +332,7 @@ class _Parser:
                 "expected 'partition NAME of UNIVERSE : {a b} {c}'", line_no
             )
         name = toks[1]
-        if name in self.partition_lines:
-            raise ParseError(f"duplicate partition {name!r} "
-                             f"(first at line {self.partition_lines[name]})", line_no)
-        self.partition_lines[name] = line_no
+        self._first_named("partition", name, line_no)
         uni = model.universes.get(toks[3])
         if uni is None:
             raise ParseError(f"unknown universe {toks[3]!r}", line_no)
@@ -341,6 +345,7 @@ class _Parser:
         if len(toks) != 2:
             raise ParseError("expected 'tree NAME'", line_no)
         name = toks[1]
+        self._first_named("tree", name, line_no)
         labels: dict[int, Domain] = {}
         edges: list[tuple[int, int]] = []
         assigns: list[tuple[int, str, int]] = []  # (line, factor, node)
@@ -383,6 +388,7 @@ class _Parser:
         if len(toks) != 2:
             raise ParseError("expected 'sequence NAME'", line_no)
         name = toks[1]
+        self._first_named("sequence", name, line_no)
         domains: list[Domain] = []
         pointers: list[int] = []
         for no, t in self.block_lines():
@@ -415,6 +421,7 @@ class _Parser:
             raise ParseError(
                 "expected 'hypothesis NAME on VAR... : (cfg) ...'", line_no
             )
+        self._first_named("hypothesis", toks[1], line_no)
         rest = " ".join(toks[3:])
         if ":" not in rest:
             raise ParseError("expected ':' before configurations", line_no)

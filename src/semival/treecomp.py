@@ -7,8 +7,8 @@ for either semiring valuations (:class:`ValuationOps`) or set potentials
 * ``catalog``, ``cap`` -- the variable catalog its values live in and
   the configuration cap every node label is checked against,
 * ``combine(a, b)``, ``unit(d)`` -- combination and its neutral element,
-* ``transport(a, d)``, ``message(a, target)`` -- moving information to
-  another domain and shaping an edge message for the receiving label,
+* ``message(a, target)`` -- shaping an edge message for the receiving
+  label,
 * ``solve_to(a, x)`` -- the answer on ``x`` (projection when covered),
 * ``deviation(a, b)`` -- the largest numeric difference, for oracle
   reports,
@@ -28,9 +28,10 @@ variables of its label that some factor mentions, and a label variable
 no factor mentions is never summed over.  Collect computes the combined
 information at a chosen root; distribute reuses the cached inward
 messages and builds only the outward messages on the paths from the
-root to the requested nodes.  Hypertree elimination is the sequential
-variant; its backward pass needs a fully idempotent algebra and refuses
-to run otherwise.
+root to the requested nodes.  Hypertree elimination is collect and
+distribute on a construction sequence's tree, rooted at its last node;
+its backward pass needs a fully idempotent algebra and refuses to run
+otherwise.
 
 ``naive_solve`` is the deliberately simple combine-then-extract oracle
 that every local scheme is tested against.
@@ -183,10 +184,11 @@ def verify_hypertree_sequence(seq: EliminationSequence) -> bool:
 
 
 def sequence_to_join_tree(seq: EliminationSequence) -> LabeledTree:
+    """The sequence's tree: edges ``(i, b(i))``, node ``i`` holding factor ``i``."""
     if not verify_hypertree_sequence(seq):
         raise DomainError("not a valid hypertree construction sequence")
     edges = tuple((i, j) for i, j in enumerate(seq.b))
-    return LabeledTree(seq.domains, edges)
+    return LabeledTree(seq.domains, edges, tuple(range(len(seq))))
 
 
 def build_covering_join_tree(
@@ -362,9 +364,6 @@ class ValuationOps:
     def unit(self, d: Domain):
         return self._va.unit(self.catalog, self.semiring, d, cap=self.cap)
 
-    def transport(self, a, d: Domain):
-        return self._va.transport(a, d, cap=self.cap)
-
     def message(self, a, target: Domain):
         return self._va.project(a, a.domain & target)
 
@@ -413,10 +412,10 @@ class SetPotentialOps:
     def unit(self, d: Domain):
         return self._bf.vacuous(self.catalog, d)
 
-    def transport(self, a, d: Domain):
-        return self._bf.transport_potential(a, d, cap=self.cap)
+    def message(self, a, target: Domain):
+        return self._bf.transport_potential(a, target, cap=self.cap)
 
-    message = solve_to = transport
+    solve_to = message
 
     def deviation(self, a, b) -> float:
         keys = set(a.by_set) | set(b.by_set)
@@ -550,18 +549,17 @@ def default_root(tree: LabeledTree, query: Domain) -> int:
 # --- hypertree schemes -------------------------------------------------------
 
 def hypertree_collect(seq: EliminationSequence, factors: Sequence, ops):
-    """Sequential elimination along a construction sequence.
+    """Collect on the sequence's tree, rooted at its last node.
 
-    Returns the last intermediate (the combined information moved to the
-    final domain) together with all intermediates for the backward pass.
+    Returns the combined information on the final domain and the
+    :class:`MessageStore` for :func:`hypertree_distribute`.
     """
     if not ops.supports_transport:
         raise CapabilityError(
             "hypertree elimination transports between incomparable domains; "
             "the algebra does not support transport"
         )
-    if not verify_hypertree_sequence(seq):
-        raise DomainError("not a valid hypertree construction sequence")
+    tree = sequence_to_join_tree(seq)
     if len(factors) != len(seq):
         raise DomainError(f"{len(seq)} domains but {len(factors)} factors")
     for i, f in enumerate(factors):
@@ -570,26 +568,20 @@ def hypertree_collect(seq: EliminationSequence, factors: Sequence, ops):
                 f"factor {i} lives on {f.domain}, sequence expects "
                 f"{seq.domains[i]}"
             )
-    psi = list(factors)
-    for i in range(len(seq) - 1):
-        j = seq.b[i]
-        psi[j] = ops.combine(psi[j], ops.transport(psi[i], seq.domains[j]))
-    return psi[-1], tuple(psi)
+    return collect(tree, factors, len(seq) - 1, ops)
 
 
-def hypertree_distribute(seq: EliminationSequence, psis: Sequence, ops):
-    """Backward pass recovering every domain's result; needs idempotency."""
+def hypertree_distribute(seq: EliminationSequence, store: MessageStore, ops):
+    """Every domain's result, distributed from the store of
+    :func:`hypertree_collect` on ``seq``; needs idempotency."""
     if not ops.supports_idempotent_distribute:
         raise CapabilityError(
             "hypertree distribute needs an idempotent algebra "
             "(idempotent addition and multiplication)"
         )
-    n = len(seq)
-    if len(psis) != n:
+    tree = sequence_to_join_tree(seq)
+    if (not isinstance(store, MessageStore) or store.root != len(seq) - 1
+            or tuple(f.domain for f in store.node_factors) != seq.domains
+            or not store.messages.keys() >= set(tree.edges)):
         raise DomainError("intermediate cache does not match the sequence")
-    results: list = [None] * n
-    results[n - 1] = psis[n - 1]
-    for i in range(n - 2, -1, -1):
-        mu = ops.transport(results[seq.b[i]], seq.domains[i])
-        results[i] = ops.combine(mu, psis[i])
-    return results
+    return distribute(tree, store.node_factors, store, ops)

@@ -43,6 +43,30 @@ def random_instance(rng: random.Random, sr, max_vars=6, max_frame=4, max_factors
     return cat, factors
 
 
+def numbered_tables(rng: random.Random, factors, ops):
+    """A covering join tree of ``factors`` numbered into a construction
+    sequence at a random root, and one table per sequence domain: the
+    node's factors combined into the unit on its label."""
+    import oracles
+
+    tree = sv.build_covering_join_tree([f.domain for f in factors])
+    seq, order = sv.tree_to_sequence(tree, rng.randrange(len(tree)))
+    tables = oracles.label_unit_tables(tree, factors, ops)
+    return seq, [tables[v] for v in order]
+
+
+def repointed(rng: random.Random, seq):
+    """``seq`` with every pointer redrawn among the targets that keep it valid."""
+    n = len(seq)
+    later = [sv.EMPTY_DOMAIN] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        later[i] = seq.domains[i] | later[i + 1]
+    b = tuple(rng.choice([j for j in range(i + 1, n)
+                          if seq.domains[i] & later[i + 1] <= seq.domains[j]])
+              for i in range(n - 1))
+    return sv.EliminationSequence(seq.domains, b)
+
+
 def random_bpa(rng: random.Random, cat, domain, max_focal=4):
     full = sv.FocalSet.full(cat, domain).configs
     masses = [rng.random() for _ in range(rng.randint(1, max_focal))]

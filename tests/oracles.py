@@ -236,6 +236,41 @@ def label_unit_tables(tree, factors, ops) -> list:
     return out
 
 
+def _transport(ops, a, d: Domain):
+    """Move ``a`` to ``d``: project to the shared variables, extend to ``d``."""
+    if isinstance(ops, treecomp.ValuationOps):
+        from semival.valuation import transport
+        return transport(a, d, cap=ops.cap)
+    from semival.belief import transport_potential
+    return transport_potential(a, d, cap=ops.cap)
+
+
+def sequential_hypertree_collect(seq, factors, ops):
+    """Hypertree elimination as a loop over the sequence: step ``i`` moves
+    its intermediate to its pointer target's domain and combines it there.
+
+    Returns the last intermediate and all of them, for
+    :func:`sequential_hypertree_distribute`.
+    """
+    psi = list(factors)
+    for i in range(len(seq) - 1):
+        j = seq.b[i]
+        psi[j] = ops.combine(psi[j], _transport(ops, psi[i], seq.domains[j]))
+    return psi[-1], tuple(psi)
+
+
+def sequential_hypertree_distribute(seq, psis, ops) -> list:
+    """The backward loop: each domain's result is its pointer target's
+    result moved to it, combined with its own intermediate."""
+    n = len(seq)
+    results: list = [None] * n
+    results[n - 1] = psis[n - 1]
+    for i in range(n - 2, -1, -1):
+        mu = _transport(ops, results[seq.b[i]], seq.domains[i])
+        results[i] = ops.combine(mu, psis[i])
+    return results
+
+
 def subtree_nodes(tree, v: int, w: int) -> list[int]:
     """Nodes of the subtree containing ``w`` after removing ``v``."""
     seen = {v, w}

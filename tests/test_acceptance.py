@@ -105,17 +105,14 @@ def test_criterion_3_hypertree_schemes():
         sr = sv.get_instance(name)
         cat, factors = helpers.random_instance(rng, sr, max_vars=6, max_frame=4)
         ops = tc.ValuationOps(cat, sr)
-        tree = sv.build_covering_join_tree([f.domain for f in factors])
-        seq, order = sv.tree_to_sequence(tree, rng.randrange(len(tree)))
+        seq, aligned = helpers.numbered_tables(rng, factors, ops)
         assert sv.verify_hypertree_sequence(seq)
-        node_factors = oracles.label_unit_tables(tree, factors, ops)
-        aligned = [node_factors[v] for v in order]
-        got, psis = sv.hypertree_collect(seq, aligned, ops)
+        got, store = sv.hypertree_collect(seq, aligned, ops)
         expected = sv.naive_solve(factors, seq.domains[-1], ops)
         if not _close(name, got, expected):
             collect_fail.append((name, sequences_checked))
         if name in idempotent:
-            for i, r in enumerate(sv.hypertree_distribute(seq, psis, ops)):
+            for i, r in enumerate(sv.hypertree_distribute(seq, store, ops)):
                 if not _close(name, r, sv.naive_solve(factors, seq.domains[i], ops)):
                     distribute_fail.append((name, sequences_checked, i))
         sequences_checked += 1

@@ -278,6 +278,24 @@ def test_second_semiring_stanza_is_a_parse_error(command):
     assert (code, out, err) == (2, "", f"semival: error: {message}\n")
 
 
+@pytest.mark.parametrize("stanza, first, second", [
+    ("tree t\n  node 0 : x\n  assign f 0\nend\n", 9, 13),
+    ("sequence s\n  step x\nend\n", 9, 12),
+    ("hypothesis h on x : (0)\n", 9, 10),
+], ids=["tree", "sequence", "hypothesis"])
+@pytest.mark.parametrize("command", [["solve"], ["check", "--what", "sequence"], ["render"]])
+def test_repeated_tree_sequence_or_hypothesis_name_is_a_parse_error(
+        stanza, first, second, command):
+    text = _TWO_VARS + "semiring boolean\nfactor f on x\n  table 1 0\nend\n" + stanza * 2
+    kind, name = stanza.split()[:2]
+    message = f"line {second}: duplicate {kind} {name!r} (first at line {first})"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
+    code, out, err = _run_stdin([*command, "-"], text)
+    assert (code, out, err) == (2, "", f"semival: error: {message}\n")
+
+
 _FACTOR_F = "factor f on x\n  table 1 0\nend\n"
 _POTENTIAL_F = "potential f on x\n  focal 1 : (0)\nend\n"
 
@@ -489,7 +507,7 @@ def test_mutated_models_parse_or_raise_parse_error():
     rng = random.Random(7)
     fixtures = [path.read_text().splitlines() for path in sorted(MODELS.glob("*.sv"))]
     parsed = 0
-    for _ in range(3000):
+    for _ in range(3300):
         text = _mutate(rng, rng.choice(fixtures))
         try:
             model = parse_model(text)

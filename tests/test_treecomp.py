@@ -235,7 +235,7 @@ def test_sequence_examples():
 def test_sequence_to_join_tree():
     two = sv.EliminationSequence((D("X"), D("X", "Y")), (1,))
     tree = sv.sequence_to_join_tree(two)
-    assert len(tree) == 2 and tree.edges == ((0, 1),)
+    assert len(tree) == 2 and tree.edges == ((0, 1),) and tree.assignment == (0, 1)
     good = sv.EliminationSequence((D("X", "Y"), D("Y", "Z"), D("Z")), (1, 2))
     tree = sv.sequence_to_join_tree(good)
     assert sv.is_join_tree(tree)
@@ -567,6 +567,81 @@ def test_hypertree_capability_errors():
     _, psis = sv.hypertree_collect(seq, [g], tops)
     with pytest.raises(CapabilityError):
         sv.hypertree_distribute(seq, psis, tops)
+
+
+def _bits(v):
+    return v.domain, tuple(map(repr, v.values))
+
+
+def test_hypertree_schemes_match_the_sequential_loops():
+    """Collect and distribute on the sequence's tree give the bits of the
+    sequential loops in ``oracles``, on every semiring with idempotent
+    addition (distribute on the fully idempotent ones), over random
+    sequences numbered at random roots with random valid pointers, until
+    each semiring has run 100 sequences of two or more steps."""
+    rng = random.Random(17)
+    names = [n for n, sr in sv.builtin_instances().items() if sr.idempotent_add]
+    compared, mismatches = 0, []
+    for name in names + ["chain(3)"]:
+        sr = sv.get_instance(name)
+        multi_step = 0
+        while multi_step < 100:
+            cat, factors = helpers.random_instance(rng, sr, max_vars=6, max_frame=4)
+            ops = tc.ValuationOps(cat, sr)
+            seq, tables = helpers.numbered_tables(rng, factors, ops)
+            seq = helpers.repointed(rng, seq)
+            got, store = sv.hypertree_collect(seq, tables, ops)
+            want, psis = oracles.sequential_hypertree_collect(seq, tables, ops)
+            pairs = [(got, want)]
+            if ops.supports_idempotent_distribute:
+                pairs += zip(sv.hypertree_distribute(seq, store, ops),
+                             oracles.sequential_hypertree_distribute(seq, psis, ops))
+            compared += len(pairs)
+            mismatches += [(name, seq) for a, b in pairs if _bits(a) != _bits(b)]
+            multi_step += len(seq) > 1
+    print(f"{compared} valuation results compared, {len(mismatches)} mismatches")
+    assert not mismatches
+
+
+def test_hypertree_potentials_match_the_sequential_loop_and_the_oracle():
+    """Focal tuples equal the sequential loop's, and the answer the oracle's,
+    until 150 sequences of two or more steps have run."""
+    rng = random.Random(18)
+    multi_step = 0
+    while multi_step < 150:
+        cat = helpers.random_catalog(rng, max_vars=6, max_frame=3)
+        ops = tc.SetPotentialOps(cat)
+        pots = [helpers.random_bpa(rng, cat, helpers.random_domain(rng, cat, max_size=2))
+                for _ in range(rng.randint(1, 5))]
+        seq, tables = helpers.numbered_tables(rng, pots, ops)
+        seq = helpers.repointed(rng, seq)
+        got, _ = sv.hypertree_collect(seq, tables, ops)
+        want, _ = oracles.sequential_hypertree_collect(seq, tables, ops)
+        assert (got.domain, got.focal) == (want.domain, want.focal)
+        assert helpers.potentials_equal(got, sv.naive_solve(pots, seq.domains[-1], ops))
+        multi_step += len(seq) > 1
+
+
+def test_hypertree_distribute_rejects_a_foreign_store():
+    doms = (D("A", "B"), D("B", "C"), D("B", "C"), D("C"))
+    cat = sv.VariableCatalog.of({"A": ("0", "1"), "B": ("0", "1"), "C": ("0", "1")})
+    bo = sv.get_instance("boolean")
+    ops = tc.ValuationOps(cat, bo)
+    rng = random.Random(19)
+    factors = [helpers.random_valuation(rng, cat, bo, d) for d in doms]
+    seq = sv.EliminationSequence(doms, (1, 2, 3))
+    _, store = sv.hypertree_collect(seq, factors, ops)
+    assert len(sv.hypertree_distribute(seq, store, ops)) == 4
+    other = sv.EliminationSequence(doms, (2, 2, 3))
+    shorter = sv.EliminationSequence(doms[1:], (1, 2))
+    _, off_root = sv.collect(sv.sequence_to_join_tree(seq), factors, 0, ops)
+    foreign = [sv.hypertree_collect(other, factors, ops)[1],
+               sv.hypertree_collect(shorter, factors[1:], ops)[1],
+               off_root, tuple(factors)]
+    for bad in foreign:
+        with pytest.raises(DomainError) as exc:
+            sv.hypertree_distribute(seq, bad, ops)
+        assert str(exc.value) == "intermediate cache does not match the sequence"
 
 
 def test_set_potentials_through_trees():
