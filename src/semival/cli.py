@@ -325,10 +325,12 @@ def main(argv=None) -> int:
         comparator = DEFAULT_COMPARATOR
         if args.tolerance:
             comparator = _comparator(args.tolerance)
-        for flag, cap in (("--cap", args.cap),
-                          ("--subset-cap", getattr(args, "subset_cap", None))):
-            if cap is not None and cap < 1:  # every domain has at least one configuration
-                raise ParseError(f"bad {flag} {cap}: must be >= 1")
+        # every domain has at least one configuration, and a check at least one draw
+        for flag, n in (("--cap", args.cap),
+                        ("--subset-cap", getattr(args, "subset_cap", None)),
+                        ("--samples", getattr(args, "samples", None))):
+            if n is not None and n < 1:
+                raise ParseError(f"bad {flag} {n}: must be >= 1")
         text = _read_model(args.model)
         model = parse_model(text, comparator)
         if args.command == "solve":

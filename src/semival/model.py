@@ -390,7 +390,7 @@ class _Parser:
         name = toks[1]
         self._first_named("sequence", name, line_no)
         domains: list[Domain] = []
-        pointers: list[int] = []
+        pointers: list[int | None] = []  # None: no '-> K'
         for no, t in self.block_lines():
             if t[0] != "step":
                 raise ParseError("expected 'step VAR... [-> K]'", no)
@@ -402,12 +402,12 @@ class _Parser:
                 pointers.append(_index(t[-1], no) - 1)  # file is 1-based
             else:
                 domains.append(self._domain_from(t[1:], no))
-                pointers.append(-1)
+                pointers.append(None)
         if not domains:
             raise ParseError(f"sequence {name!r} is empty", line_no)
-        if pointers[-1] != -1:
+        if pointers[-1] is not None:
             raise ParseError("the last step takes no pointer", line_no)
-        if any(p == -1 for p in pointers[:-1]):
+        if None in pointers[:-1]:
             raise ParseError("every step but the last needs '-> K'", line_no)
         from .treecomp import EliminationSequence
         seq = EliminationSequence(tuple(domains), tuple(pointers[:-1]))

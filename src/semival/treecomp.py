@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
 from functools import cached_property, reduce
 from typing import Sequence
 
@@ -120,17 +119,9 @@ class LabeledTree(Frozen):
 
 
 def is_join_tree(tree: LabeledTree) -> bool:
-    """Running intersection: the nodes holding each variable form a subtree.
-
-    Nodes of a tree are connected exactly when the edges among them number
-    one less than the nodes, so every variable must be held by one more
-    node than edge.  Linear in the total label size.
-    """
-    labels = [set(label.names) for label in tree.labels]
-    excess = Counter(name for label in labels for name in label)
-    for a, b in tree.edges:
-        excess.subtract(labels[a] & labels[b])
-    return all(k == 1 for k in excess.values())
+    """Running intersection: the nodes holding each variable form a subtree,
+    exactly when the tree's leaves-first numbering is a valid sequence."""
+    return first_sequence_violation(tree_to_sequence(tree)[0]) is None
 
 
 def is_markov_tree(tree: LabeledTree) -> bool:
@@ -167,14 +158,19 @@ class EliminationSequence(Frozen):
 
 
 def first_sequence_violation(seq: EliminationSequence) -> int | None:
-    """First step whose domain meets the later ones outside its pointer target."""
-    n = len(seq)
-    suffix = [dm.EMPTY_DOMAIN] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = seq.domains[i] | suffix[i + 1]
-    for i in range(n - 1):
-        if not (seq.domains[i] & suffix[i + 1]) <= seq.domains[seq.b[i]]:
-            return i
+    """First step whose domain meets the later ones outside its pointer target.
+
+    A variable of step ``i`` occurs in a later step exactly when the last
+    step holding it comes after ``i``, so step ``i`` violates when such a
+    variable is missing from ``x_{b(i)}``.  Linear in the total label size.
+    """
+    last = {x: i for i, d in enumerate(seq.domains) for x in d.names}
+    targets = {j: set(seq.domains[j].names) for j in set(seq.b)}
+    for i, (d, j) in enumerate(zip(seq.domains, seq.b)):
+        target = targets[j]
+        for x in d.names:
+            if last[x] > i and x not in target:
+                return i
     return None
 
 

@@ -301,11 +301,15 @@ def invert_regular(p: Valuation, t: Domain) -> Valuation:
 
 # --- randomized axiom suite ------------------------------------------------
 
-def _random_catalog(rng: random.Random, max_vars: int, max_frame: int) -> VariableCatalog:
-    n = rng.randint(1, max_vars)
+AXIOM_MAX_VARS = 4  # variables per random catalog of the axiom suite
+AXIOM_MAX_FRAME = 3  # values per variable
+
+
+def _random_catalog(rng: random.Random) -> VariableCatalog:
+    n = rng.randint(1, AXIOM_MAX_VARS)
     spec = {}
     for i in range(n):
-        size = rng.randint(1, max_frame)
+        size = rng.randint(1, AXIOM_MAX_FRAME)
         spec[f"v{i}"] = tuple(str(j) for j in range(size))
     return VariableCatalog.of(spec)
 
@@ -327,13 +331,8 @@ def _trial_witness(k: int, trial: tuple) -> str:
     return f"trial {k}: s={s} t={t} r={r}"
 
 
-def check_valuation_axioms(
-    sr: Semiring,
-    samples: int = 200,
-    seed: int = 0,
-    max_vars: int = 4,
-    max_frame: int = 3,
-) -> CheckReport:
+def check_valuation_axioms(sr: Semiring, samples: int = 200,
+                           seed: int = 0) -> CheckReport:
     """Randomized law suite for the valuation operations over ``sr``.
 
     Laws gated on missing capabilities are reported as not applicable
@@ -348,7 +347,7 @@ def check_valuation_axioms(
 
     trials = []
     for _ in range(samples):
-        cat = _random_catalog(rng, max_vars, max_frame)
+        cat = _random_catalog(rng)
         s = _random_domain(rng, cat)
         t = _random_domain(rng, cat)
         r = (s & t) | _random_domain(rng, cat)

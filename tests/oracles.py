@@ -271,6 +271,20 @@ def sequential_hypertree_distribute(seq, psis, ops) -> list:
     return results
 
 
+def suffix_union_sequence_violation(seq):
+    """First step whose domain meets the union of the later ones outside
+    its pointer target, with that union built as a ``Domain`` per step:
+    the sequence validator as first written."""
+    n = len(seq)
+    suffix = [dm.EMPTY_DOMAIN] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = seq.domains[i] | suffix[i + 1]
+    for i in range(n - 1):
+        if not (seq.domains[i] & suffix[i + 1]) <= seq.domains[seq.b[i]]:
+            return i
+    return None
+
+
 def subtree_nodes(tree, v: int, w: int) -> list[int]:
     """Nodes of the subtree containing ``w`` after removing ``v``."""
     seen = {v, w}

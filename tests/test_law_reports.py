@@ -4,6 +4,8 @@ Each job of the ``laws`` workload at seeds 1-3 is run through ``cli.main``
 in process; the sha256 of its stdout must equal the digest recorded at
 commit 33e52a1, when the checkers still made one call per trial and use,
 so the table-driven and deduplicating checkers print the same bytes.
+The workload's tree and sequence, each with one violation planted deep
+inside, must fail at that place.
 """
 
 import hashlib
@@ -71,6 +73,40 @@ def test_laws_reports_are_unchanged(seed, tmp_path, monkeypatch):
             assert cli.main(list(job.argv)) == 0, job.name
         got[job.name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert got == RECORDED[seed]
+
+
+def _check(path, what):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(["check", str(path), "--what", what])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("seed", sorted(RECORDED))
+def test_a_violation_planted_deep_in_the_laws_tree_and_sequence_is_found(seed, tmp_path):
+    """Node 150 of the 300-node tree and step 150 of the 300-step sequence
+    also take ``n000``, which only the root holds; no node on the path
+    between them, and not the step's pointer target, holds it."""
+    wl = workloads.build("laws", seed)
+    tree = wl.files["tree.sv"]
+    planted = tree.replace("\n  node 150 : ", "\n  node 150 : n000 ", 1)
+    assert planted != tree
+    lines = wl.files["sequence.sv"].split("\n")
+    k = [i for i, line in enumerate(lines) if line.startswith("  step ")][149]
+    assert not lines[k].endswith("-> 300")  # step 300 is the root's, which holds n000
+    lines[k] = lines[k].replace("  step ", "  step n000 ", 1)
+    for name, text in (("tree.sv", tree), ("planted-tree.sv", planted),
+                       ("sequence.sv", wl.files["sequence.sv"]),
+                       ("planted-sequence.sv", "\n".join(lines))):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out = _check(tmp_path / "tree.sv", "tree")
+    assert code == 0 and "join-tree: yes\n" in out
+    code, out = _check(tmp_path / "planted-tree.sv", "tree")
+    assert code == 1 and "join-tree: no\n" in out and out.endswith("result: FAIL\n")
+    code, out = _check(tmp_path / "sequence.sv", "sequence")
+    assert code == 0 and "valid: yes\n" in out
+    code, out = _check(tmp_path / "planted-sequence.sv", "sequence")
+    assert code == 1 and "valid: no (violated at step 150)\n" in out
 
 
 def _trial_witness(k, trial):

@@ -395,6 +395,21 @@ def test_rejected_stanza_messages(stanza, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("steps, message", [
+    ("  step x -> 2\n  step y -> 0\n", "line 5: the last step takes no pointer"),
+    ("  step x\n  step y -> 0\n", "line 5: the last step takes no pointer"),
+    ("  step x -> 0\n  step y\n", "line 5: pointer b(0) = -1 must satisfy 0 < b(0) < 2"),
+], ids=["last", "last-only", "earlier"])
+def test_pointer_to_step_zero_is_rejected(steps, message):
+    # steps are numbered from 1, so '-> 0' names no step
+    text = _TWO_VARS + "sequence s\n" + steps + "end\n"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
+    code, out, err = _run_stdin(["render", "-"], text)
+    assert code == 2 and out == "" and message in err
+
+
 @pytest.mark.parametrize("stanza, line, var", [
     ("semiring boolean\nfactor f on x x\n  table 1 0\nend\n", 6, "x"),
     ("semiring boolean\nfactor f on x x\n  table 1 0 0 1\nend\n", 6, "x"),
@@ -690,12 +705,14 @@ def test_non_utf8_model_is_a_parse_error(tmp_path, where, command):
     assert code == 2 and out == "" and "UTF-8" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("what", ["semiring", "valuation-axioms"])
+@pytest.mark.parametrize("what", ["semiring", "valuation-axioms", "qseparoid", "tree",
+                                  "sequence"])
 @pytest.mark.parametrize("samples", ["0", "-1", "-200"])
 def test_nonpositive_samples_are_rejected(what, samples):
+    # a usage error, like a cap below one, whatever --what checks
     code, out, err = run_cli(["check", "models/laws.sv", "--what", what,
                               "--samples", samples])
-    assert code == 1 and out == "" and "samples must be >= 1" in err
+    assert code == 2 and out == "" and f"bad --samples {samples}: must be >= 1" in err
 
 
 @pytest.mark.parametrize("tolerance", [

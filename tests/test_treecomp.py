@@ -127,7 +127,7 @@ def _random_labeled_tree(rng, n, shape):
 
 
 def test_join_tree_count_test_matches_pairwise_paths():
-    """The per-variable count agrees with the pairwise-path definition."""
+    """The join-tree test agrees with the pairwise-path definition."""
     rng = random.Random(4)
     verdicts = []
     for k in range(2100):
@@ -142,6 +142,54 @@ def test_join_tree_count_test_matches_pairwise_paths():
                                                max_vars=6, max_factors=5)
         tree = sv.build_covering_join_tree([f.domain for f in factors])
         assert sv.is_join_tree(tree) and oracles.pairwise_join_tree(tree)
+
+
+def _random_sequence(rng, n):
+    """A sequence of ``n`` steps with random forward pointers, whose domains
+    are either grown backwards along the pointers (valid) plus maybe one
+    stray variable, or drawn independently from a small pool."""
+    b = [rng.randrange(i + 1, n) for i in range(n - 1)]
+    if rng.random() < 0.5:
+        fresh = itertools.count()
+        labels = [set() for _ in range(n)]
+        labels[-1] = {f"v{next(fresh)}"}
+        for i in range(n - 2, -1, -1):
+            kept = {x for x in labels[b[i]] if rng.random() < 0.6}
+            labels[i] = kept | {f"v{next(fresh)}" for _ in range(rng.randint(0, 2))}
+        if rng.random() < 0.5:
+            every = sorted(set().union(*labels))
+            labels[rng.randrange(n)].add(rng.choice(every))
+    else:
+        pool = [f"v{i}" for i in range(rng.randint(1, 8))]
+        labels = [{x for x in pool if rng.random() < 0.3} for _ in range(n)]
+    return sv.EliminationSequence(tuple(D(*label) for label in labels), tuple(b))
+
+
+def test_running_intersection_matches_the_references():
+    """One pass decides both structures: a tree's verdict is the pairwise-path
+    definition's, and the first violating step of every sequence, a tree's
+    leaves-first numbering at a random root included, is the one the
+    suffix-union loop finds."""
+    rng = random.Random(18)
+    tree_verdicts, steps = [], set()
+    for k in range(20_000):
+        shape = ("chain", "star", "random")[k % 3]
+        tree = _random_labeled_tree(rng, rng.randint(1, 12), shape)
+        verdict = sv.is_join_tree(tree)
+        assert verdict == oracles.pairwise_join_tree(tree)
+        seq, _ = sv.tree_to_sequence(tree, rng.randrange(len(tree)))
+        bad = tc.first_sequence_violation(seq)
+        assert bad == oracles.suffix_union_sequence_violation(seq)
+        assert (bad is None) == verdict
+        tree_verdicts.append(verdict)
+    for _ in range(20_000):
+        seq = _random_sequence(rng, rng.randint(1, 30))
+        bad = tc.first_sequence_violation(seq)
+        assert bad == oracles.suffix_union_sequence_violation(seq)
+        assert sv.verify_hypertree_sequence(seq) == (bad is None)
+        steps.add(bad)
+    assert 5_000 < sum(tree_verdicts) < 15_000
+    assert None in steps and len(steps) > 20  # valid ones, and violations at many steps
 
 
 def test_family_independence_closure():
