@@ -276,17 +276,24 @@ def enumerate_configs(
     return [Configuration(d, values) for values in config_values(cat, d, cap)]
 
 
-def _offsets(sizes, contribs) -> list[int]:
-    """Row-major sweep of a mixed-radix counter: ``sum(digit * contrib)``.
+def _repeat_blocks(seq: tuple, length: int, times: int) -> tuple:
+    """Each consecutive block of ``length`` items of ``seq``, ``times`` times over.
 
-    The first size is the outermost digit.  Built one variable at a time
-    with list comprehensions, so the per-cell work runs at C level.
+    Built by slice assignments: one per block, or one per position in a
+    repeated block, whichever is fewer.
     """
-    out = [0]
-    for size, c in zip(sizes, contribs):
-        steps = [k * c for k in range(size)]
-        out = [x + k for x in out for k in steps]
-    return out
+    if times == 1 or length == len(seq):
+        return seq * times
+    blocks, step = len(seq) // length, length * times
+    out = [None] * (len(seq) * times)
+    if blocks <= step:
+        for b in range(blocks):
+            out[b * step:(b + 1) * step] = seq[b * length:(b + 1) * length] * times
+    else:
+        columns = [seq[j::length] for j in range(length)]
+        for k in range(step):
+            out[k::step] = columns[k % length]
+    return tuple(out)
 
 
 # stores nothing; kept as a wrapper because perfbench/tracer.py reads cache_info()
@@ -296,11 +303,20 @@ def restriction_index_map(
 ) -> tuple[int, ...]:
     """``m[i]`` = index in ``sub`` of the restriction of ``big``'s config ``i``.
 
-    No configuration objects are built; this is the indexing workhorse
-    behind the tuple kernels of table combination and vacuous extension.
+    ``sub``'s indices in order, with each run of ``big``'s variables that
+    ``sub`` lacks inserted as block repetitions, last run first; no
+    configuration objects are built and no per-cell Python step runs.
+    This is the indexing workhorse behind table combination and vacuous
+    extension.
     """
     if not sub <= big:
         raise DomainError(f"{sub} is not a subset of {big}")
-    sub_strides = dict(zip(sub.names, strides(cat, sub)))
-    return tuple(_offsets([cat.size(name) for name in big.names],
-                          [sub_strides.get(name, 0) for name in big.names]))
+    out = tuple(range(cat.config_count(sub, cap=None)))
+    block = run = 1  # block: items of ``out`` per configuration of the suffix done
+    for name in reversed(big.names):
+        if name in sub:
+            out = _repeat_blocks(out, block, run)
+            block, run = block * run * cat.size(name), 1
+        else:
+            run *= cat.size(name)
+    return _repeat_blocks(out, block, run)

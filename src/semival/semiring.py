@@ -24,7 +24,6 @@ approximation is ever involved.
 from __future__ import annotations
 
 import math
-import random
 import re
 from functools import partial
 from operator import add, mul
@@ -34,6 +33,8 @@ from .compare import DEFAULT_COMPARATOR, Comparator
 from .errors import DomainError, Frozen
 
 if TYPE_CHECKING:
+    import random
+
     from .reports import CheckReport
 
 NEG_INF = float("-inf")
@@ -258,6 +259,8 @@ def check_semiring_axioms(
     is the first failing draw, and ``samples`` still counts every draw.
     Draws that compare equal count as one.
     """
+    import random
+
     from .reports import CheckReport, run_law
     if samples < 1:
         raise DomainError("samples must be >= 1")

@@ -8,14 +8,13 @@ available exactly when the semiring has idempotent addition -- for other
 semirings transport would silently break the algebra, so it raises
 :class:`CapabilityError` instead.
 
-A table of at least :data:`ARRAY_MIN_CELLS` cells whose cells are all
-floats is stored as a read-only, flat, row-major ``float64`` numpy array,
-when the semiring's ``add`` and ``mul`` are ``operator.add`` and
-``operator.mul``; every other table is a tuple.  numpy is imported on the
-first table that reaches the threshold.  Both forms compute the same
-cells, bit for bit: projection folds each output cell left to right in
-increasing source-index order either way.  Overflow to ``inf`` and
-``nan`` results pass silently on arrays, as they do on Python floats.
+Tables are tuples, and the kernels run at C level: combination and
+vacuous extension gather cells through one ``operator.itemgetter`` on a
+restriction index map, and projection block-transposes the summed-out
+variables next to each other, then folds them with ``map`` and
+``reduce``.  Every output cell of a projection is a left fold in
+increasing source-index order, so results keep their exact bits, and
+overflow to ``inf`` and ``nan`` passes silently, as on Python floats.
 
 Valuations are immutable and all operations are pure.
 """
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import partial, reduce
-from itertools import repeat
+from itertools import chain, groupby, repeat, starmap
 from typing import TYPE_CHECKING, Sequence
 
 from . import domains as dm
@@ -33,59 +32,19 @@ from .domains import Domain, VariableCatalog
 from .errors import CapabilityError, DomainError, Frozen, MassError, MismatchError
 from .semiring import Semiring
 
-import random
-
 if TYPE_CHECKING:
-    import numpy
+    import random
 
     from .reports import CheckReport
-
-#: Smallest table stored as a numpy array (see the module docstring).
-#: Importing numpy costs about 115 ms, which a job with tables of 3^9
-#: cells does not win back and one with tables of 3^10 and 3^11 cells
-#: does, several times over (measurements in CHANGES.md).
-ARRAY_MIN_CELLS = 3**10
-
-_np = None  # numpy, once the first table reaches ARRAY_MIN_CELLS
-
-def _array_semiring(sr: Semiring) -> bool:
-    """Ordinary ``+`` and ``*``, by identity; any other operation keeps tuples."""
-    return sr.add is operator.add and sr.mul is operator.mul
-
-
-def _numpy():
-    global _np
-    if _np is None:
-        import numpy
-        _np = numpy
-    return _np
-
-
-def _is_array(table) -> bool:
-    return _np is not None and isinstance(table, _np.ndarray)
-
-
-def _frozen(x):
-    x.flags.writeable = False
-    return x
-
-
-def _float_array(table):
-    """``table`` as a float64 array, or None when a cell is not a float."""
-    if _is_array(table):
-        return table
-    if set(map(type, table)) != {float}:
-        return None
-    return _numpy().array(table, dtype=float)
 
 
 class Valuation(Frozen):
     """A semiring value per configuration of ``domain``, in row-major order.
 
-    ``table`` is a tuple, or a read-only float64 array for a large
-    all-float table (see the module docstring); :attr:`values` gives the
-    cells as Python scalars either way.  Valuations are compared and
-    hashed by identity; :func:`valuations_equal` compares their cells.
+    ``table`` is stored as a tuple, so a list passed in is copied and
+    later changes to it do not reach the valuation.  Valuations are
+    compared and hashed by identity; :func:`valuations_equal` compares
+    their cells.
     """
 
     __slots__ = ("catalog", "semiring", "domain", "table")
@@ -93,17 +52,13 @@ class Valuation(Frozen):
     __hash__ = object.__hash__
 
     def __init__(self, catalog: VariableCatalog, semiring: Semiring, domain: Domain,
-                 table: tuple | numpy.ndarray):
+                 table: Sequence):
+        table = tuple(table)
         expected = catalog.config_count(domain, cap=None)
         if len(table) != expected:
             raise DomainError(
                 f"table has {len(table)} entries, domain {domain} needs {expected}"
             )
-        if (expected >= ARRAY_MIN_CELLS and type(table) is tuple
-                and _array_semiring(semiring)):
-            array = _float_array(table)
-            if array is not None:
-                table = _frozen(array)
         object.__setattr__(self, "catalog", catalog)
         object.__setattr__(self, "semiring", semiring)
         object.__setattr__(self, "domain", domain)
@@ -113,9 +68,9 @@ class Valuation(Frozen):
         return combine(self, other)
 
     @property
-    def values(self) -> Sequence:
-        """The cells as Python ``int``/``float`` values, in table order."""
-        return self.table.tolist() if _is_array(self.table) else self.table
+    def values(self) -> tuple:
+        """The cells in table order: the table itself."""
+        return self.table
 
 
 def _check_operands(a: Valuation, b: Valuation):
@@ -153,42 +108,24 @@ def null(cat: VariableCatalog, sr: Semiring, d: Domain,
     return _constant(cat, sr, d, sr.zero, cap)
 
 
-def _quiet():
-    """Python float arithmetic overflows to ``inf`` and makes ``nan`` silently."""
-    return _np.errstate(over="ignore", invalid="ignore")
-
-
-def _axes(cat: VariableCatalog, d: Domain, t: Domain) -> list[int]:
-    """Shape of ``d``'s table as an array over ``t``'s axes (``d <= t``)."""
-    return [cat.size(n) if n in d else 1 for n in t.names]
-
-
 def combine(a: Valuation, b: Valuation,
             cap: int | None = dm.DEFAULT_CONFIG_CAP) -> Valuation:
     """Pointwise product on the union domain."""
     _check_operands(a, b)
     cat, sr = a.catalog, a.semiring
     u = a.domain | b.domain
-    if cat.config_count(u, cap=cap) >= ARRAY_MIN_CELLS and _array_semiring(sr):
-        x, y = _float_array(a.table), _float_array(b.table)
-        if x is not None and y is not None:
-            # domains are sorted, so each operand's axes are already in
-            # the union's order; a missing variable is a size-1 axis
-            with _quiet():
-                z = _np.multiply(x.reshape(_axes(cat, a.domain, u)),
-                                 y.reshape(_axes(cat, b.domain, u)))
-            return Valuation(cat, sr, u, _frozen(z.reshape(-1)))
-    table = tuple(map(sr.mul, _gather(a, u), _gather(b, u)))
-    return Valuation(cat, sr, u, table)
+    cat.config_count(u, cap=cap)
+    return Valuation(cat, sr, u, tuple(map(sr.mul, _gather(a, u), _gather(b, u))))
 
 
-def _gather(a: Valuation, t: Domain):
-    """``a``'s values in ``t``'s configuration order (``d(a) <= t``)."""
+def _gather(a: Valuation, t: Domain) -> tuple:
+    """``a``'s cells in ``t``'s configuration order (``d(a) <= t``)."""
     if a.domain == t:
-        return a.values
-    if not a.domain:  # the identity every join-tree node starts from: no index map
-        return repeat(a.values[0], a.catalog.config_count(t, cap=None))
-    return map(a.values.__getitem__, dm.restriction_index_map(a.catalog, t, a.domain))
+        return a.table
+    if len(a.table) == 1:  # the scalar identity a join-tree node starts from, say
+        return a.table * a.catalog.config_count(t, cap=None)
+    # the map has as many cells as t, so at least two: itemgetter returns a tuple
+    return operator.itemgetter(*dm.restriction_index_map(a.catalog, t, a.domain))(a.table)
 
 
 def combine_all(factors: Sequence[Valuation], cat: VariableCatalog, sr: Semiring,
@@ -211,29 +148,49 @@ def project(a: Valuation, t: Domain) -> Valuation:
     if t == a.domain:
         return a
     cat, sr = a.catalog, a.semiring
-    names = a.domain.names
-    kept = cat.config_count(t, cap=None)
-    if _is_array(a.table) and _array_semiring(sr):
-        # dropped axes outer, kept inner: one row per dropped
-        # configuration, in increasing source-index order
-        drop = [i for i, n in enumerate(names) if n not in t]
-        keep = [i for i, n in enumerate(names) if n in t]
-        x = a.table.reshape([cat.size(n) for n in names]).transpose(drop + keep)
-        # accumulate is a strict left fold; reduce may sum pairwise
-        with _quiet():
-            out = _np.add.accumulate(x.reshape(-1, kept), axis=0)[-1]
-        table = _frozen(out.copy()) if kept >= ARRAY_MIN_CELLS else tuple(out.tolist())
-        return Valuation(cat, sr, t, table)
-    # kept variables outer, dropped inner: each block of the gathered
-    # cells is one output cell
-    order = list(t.names) + [n for n in names if n not in t]
-    stride = dict(zip(names, dm.strides(cat, a.domain)))
-    values = a.values
-    grouped = map(values.__getitem__, dm._offsets(
-        [cat.size(n) for n in order], [stride[n] for n in order]))
-    block = len(values) // kept
-    table = tuple(map(reduce, repeat(sr.add), zip(*[grouped] * block)))
+    runs = [(kept, math.prod(map(cat.size, names)))
+            for kept, names in groupby(a.domain.names, t.__contains__)]
+    last = max(i for i, (kept, _) in enumerate(runs) if not kept)
+    # move the dropped variables seen so far behind each kept run that
+    # precedes a later dropped one: then the cells are outer x rows x inner
+    # with the dropped variables, in their order, as the rows
+    cells, outer, rows, inner = a.table, 1, 1, len(a.table)
+    for kept, size in runs[:last + 1]:
+        inner //= size
+        if not kept:
+            rows *= size
+        elif rows == 1:
+            outer *= size
+        else:
+            cells = _swap(cells, outer, rows, size, inner)
+            outer *= size
+    # fold the rows left to right, each cell's increasing source-index order:
+    # one map pass per row, or one reduce per output cell when the rows are
+    # many and short, which costs fewer Python steps
+    add = sr.add
+    if (inner == 1 and rows > 16) or rows > outer * inner:
+        if inner > 1:
+            cells = _swap(cells, outer, rows, inner, 1)
+        table = tuple(map(reduce, repeat(add), zip(*[iter(cells)] * rows)))
+    else:
+        table = reduce(lambda acc, row: tuple(map(add, acc, row)), _rows(cells, rows, inner))
     return Valuation(cat, sr, t, table)
+
+
+def _swap(cells: tuple, outer: int, rows: int, cols: int, inner: int) -> tuple:
+    """``outer x rows x cols x inner`` row-major cells as ``outer x cols x rows x inner``."""
+    units = zip(*[iter(cells)] * inner) if inner > 1 else cells
+    blocks = zip(*[zip(*[iter(units)] * cols)] * rows)  # per outer index: rows x cols units
+    moved = chain.from_iterable(chain.from_iterable(starmap(zip, blocks)))
+    return tuple(chain.from_iterable(moved) if inner > 1 else moved)
+
+
+def _rows(cells: tuple, rows: int, inner: int) -> list:
+    """Each row of ``outer x rows x inner`` cells, in ``outer x inner`` order."""
+    if inner == 1:
+        return [cells[r::rows] for r in range(rows)]
+    chunks = tuple(zip(*[iter(cells)] * inner))
+    return [chain.from_iterable(chunks[r::rows]) for r in range(rows)]
 
 
 def vacuous_extend(a: Valuation, t: Domain,
@@ -243,13 +200,8 @@ def vacuous_extend(a: Valuation, t: Domain,
         raise DomainError(f"cannot extend {a.domain} to non-superset {t}")
     if t == a.domain:
         return a
-    cat, sr = a.catalog, a.semiring
-    if cat.config_count(t, cap=cap) >= ARRAY_MIN_CELLS and _array_semiring(sr):
-        x = _float_array(a.table)
-        if x is not None:
-            wide = _np.broadcast_to(x.reshape(_axes(cat, a.domain, t)), _axes(cat, t, t))
-            return Valuation(cat, sr, t, _frozen(wide.flatten()))
-    return Valuation(cat, sr, t, tuple(_gather(a, t)))
+    a.catalog.config_count(t, cap=cap)
+    return Valuation(a.catalog, a.semiring, t, _gather(a, t))
 
 
 def transport(a: Valuation, t: Domain,
@@ -338,6 +290,8 @@ def check_valuation_axioms(sr: Semiring, samples: int = 200,
     Laws gated on missing capabilities are reported as not applicable
     rather than silently skipped.
     """
+    import random
+
     from .reports import CheckReport, run_law
     if samples < 1:
         raise DomainError("samples must be >= 1")

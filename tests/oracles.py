@@ -151,10 +151,11 @@ def odometer_index_map(cat, big, sub):
     contrib = [sub_strides.get(name, 0) for name in big.names]
     out = [0] * n
     digits = [0] * len(big)
+    positions = range(len(big) - 1, -1, -1)
     val = 0
     for i in range(n):
         out[i] = val
-        for p in range(len(big) - 1, -1, -1):
+        for p in positions:
             digits[p] += 1
             val += contrib[p]
             if digits[p] < sizes[p]:

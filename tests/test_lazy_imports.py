@@ -1,12 +1,15 @@
 """Each command loads only the semival modules it runs.
 
 Every job is a fresh process, so compiling a module it never calls is pure
-start-up cost.  Each command runs in a fresh interpreter, which then lists
-the ``semival.*`` modules in ``sys.modules``, and which of ``dataclasses``
-and ``inspect`` it loaded: no command may load them, as importing them and
-generating a dataclass's methods cost a job tens of milliseconds.  The
-model reader loads a stanza's module when it meets the stanza, so each
-probe model holds only the stanzas its command reads.
+start-up cost.  Each command runs in a fresh interpreter started with
+``-S``, so that ``site`` loads nothing, which then lists the ``semival.*``
+modules in ``sys.modules`` and which of the watched standard modules it
+loaded.  No command may load ``dataclasses``, ``inspect`` or ``numpy``:
+importing the first two and generating a dataclass's methods cost a job
+tens of milliseconds, and numpy's import over 100.  Only the law checkers
+draw random numbers, so a solve or evidence job must not load ``random``
+either.  The model reader loads a stanza's module when it meets the
+stanza, so each probe model holds only the stanzas its command reads.
 """
 
 import os
@@ -19,16 +22,27 @@ import pytest
 HERE = Path(__file__).parent
 SRC = HERE.parent / "src"
 
-SLOW = ("dataclasses", "inspect")
+SLOW = ("dataclasses", "inspect", "numpy")
+WATCHED = SLOW + ("random",)
 
 PROBE = (
     "import sys\n"
     "from semival import cli\n"
     "code = cli.main(sys.argv[1:])\n"
     "print('loaded:', *sorted(m for m in sys.modules if m.startswith('semival.')))\n"
-    f"print('slow:', *(m for m in {SLOW!r} if m in sys.modules))\n"
+    f"print('watched:', *(m for m in {WATCHED!r} if m in sys.modules))\n"
     "sys.exit(code)\n"
 )
+
+
+def _wide_model(variables: int) -> str:
+    """One all-float factor over ``variables`` ternary variables."""
+    names = [f"w{i}" for i in range(variables)]
+    lines = ["catalog"] + [f"  var {n} : 0 1 2" for n in names] + ["end", "semiring arithmetic"]
+    lines += [f"factor f on {' '.join(names)}", "  table " + " ".join(["0.5"] * 3**variables),
+              "end", f"query {names[0]}"]
+    return "\n".join(lines) + "\n"
+
 
 MODELS = {
     "semiring.sv": "catalog\n  var v : 0 1\nend\nsemiring tropical\n",
@@ -39,18 +53,36 @@ MODELS = {
         "partition right of u : {1} {2 3}\n"
         "partition fine of u : {1} {2} {3}\n"
     ),
+    "tree.sv": (
+        "catalog\n  var a : 0 1\n  var b : 0 1\nend\n"
+        "tree t\n  node 0 : a b\n  node 1 : b\n  edge 0 1\nend\n"
+    ),
+    "sequence.sv": (
+        "catalog\n  var a : 0 1\n  var b : 0 1\nend\n"
+        "sequence s\n  step a b -> 2\n  step b\nend\n"
+    ),
+    "wide.sv": _wide_model(10),
 }
 
-# (argv, modules the command must not load)
+# (argv, semival modules and watched modules the command must not load)
 CASES = {
-    "solve": (["solve", "chain.sv", "--oracle"], {"belief", "partitions", "reports"}),
+    "solve": (["solve", "chain.sv", "--oracle"],
+              {"belief", "partitions", "reports", "random"}),
+    # 3^10 cells: the size that once switched tables to numpy arrays
+    "solve-wide": (["solve", "wide.sv"], {"belief", "partitions", "reports", "random"}),
     "solve-potentials": (["solve", "evidence.sv", "--oracle", "--query", "u"],
-                         {"valuation", "partitions", "reports"}),
+                         {"valuation", "partitions", "reports", "random"}),
     "check-semiring": (["check", "semiring.sv", "--what", "semiring", "--samples", "50"],
                        {"treecomp", "valuation", "belief", "partitions"}),
+    "check-valuation-axioms": (["check", "semiring.sv", "--what", "valuation-axioms",
+                                "--samples", "40"], {"treecomp", "belief", "partitions"}),
     "check-qseparoid": (["check", "partitions.sv", "--what", "qseparoid"],
                         {"treecomp", "valuation", "belief"}),
-    **{f"evidence-{op}": (["evidence", "evidence.sv", "--op", op], {"partitions"})
+    "check-tree": (["check", "tree.sv", "--what", "tree"],
+                   {"valuation", "belief", "partitions", "reports", "random"}),
+    "check-sequence": (["check", "sequence.sv", "--what", "sequence"],
+                       {"valuation", "belief", "partitions", "reports", "random"}),
+    **{f"evidence-{op}": (["evidence", "evidence.sv", "--op", op], {"partitions", "random"})
        for op in ("combine", "support", "plausibility", "moebius")},
 }
 
@@ -62,7 +94,7 @@ def _env() -> dict:
 
 
 def _run(args, cwd) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=_env(),
+    return subprocess.run([sys.executable, "-S", *args], cwd=cwd, env=_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -81,11 +113,12 @@ def test_command_loads_only_what_it_runs(case, workdir):
     argv, absent = CASES[case]
     proc = _run(["-c", PROBE, *argv], workdir)
     assert proc.returncode == 0, proc.stderr
-    *report, probe, slow = proc.stdout.splitlines()
+    *report, probe, watched = proc.stdout.splitlines()
     assert report[-1] in ("status: ok", "result: pass"), proc.stdout
     loaded = {m.removeprefix("semival.") for m in probe.split()[1:]}
-    assert not loaded & absent, sorted(loaded & absent)
-    assert slow == "slow:", slow
+    loaded |= set(watched.split()[1:])
+    unwanted = loaded & (absent | set(SLOW))
+    assert not unwanted, sorted(unwanted)
 
 
 def test_no_submodule_loads_dataclasses_or_inspect(workdir):

@@ -821,8 +821,7 @@ def _against_label_units(monkeypatch, tree, factors, ops):
 def test_identity_start_matches_label_unit_tables(monkeypatch, name):
     """Nodes start from the scalar identity; on trees built from the factor
     domains every collect and distribute result, at every root, equals bit
-    for bit the one computed from node tables that span their labels.  A
-    quarter of the cases lower the array threshold so the numpy kernels run."""
+    for bit the one computed from node tables that span their labels."""
     rng = random.Random(f"identity:{name}")
     sr = sv.get_instance(name.removeprefix("int-"))
 
@@ -834,10 +833,7 @@ def test_identity_start_matches_label_unit_tables(monkeypatch, name):
 
     for case in range(1000):
         cat, factors, tree = _pinned_instance(rng, case, make)
-        with monkeypatch.context() as m:
-            if case % 4 == 0:
-                m.setattr(sv.valuation, "ARRAY_MIN_CELLS", 8)
-            pairs = _against_label_units(monkeypatch, tree, factors, tc.ValuationOps(cat, sr))
+        pairs = _against_label_units(monkeypatch, tree, factors, tc.ValuationOps(cat, sr))
         assert all(_same_bits(a, b) for a, b in pairs), (name, case)
 
 

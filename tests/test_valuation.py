@@ -3,15 +3,13 @@ import random
 import pytest
 
 import semival as sv
-from semival import valuation
 from semival.domains import restriction_index_map
-from semival.semiring import format_value
 from semival.errors import CapabilityError, DomainError, MassError, MismatchError
 
 import helpers
 import oracles
 
-NEG_INF = float("-inf")
+INF, NEG_INF, NAN = float("inf"), float("-inf"), float("nan")
 
 
 @pytest.fixture
@@ -34,6 +32,17 @@ def test_combine_boolean_indicators(xy):
     ix = sv.Valuation(cat, bo, X, (0, 1))
     iy = sv.Valuation(cat, bo, Y, (1, 0))
     assert sv.combine(ix, iy).table == (0, 0, 1, 0)
+
+
+def test_a_list_table_is_copied_so_the_valuation_stays_immutable(xy):
+    cat, X, Y, XY = xy
+    ar = sv.get_instance("arithmetic")
+    cells = [0.25, 0.75]
+    v = sv.Valuation(cat, ar, X, cells)
+    cells[0] = 9.0
+    assert v.table == (0.25, 0.75) and type(v.table) is tuple
+    shared = (0.5, 0.5)
+    assert sv.Valuation(cat, ar, X, shared).table is shared  # a tuple is not copied
 
 
 def test_combine_matches_dict_oracle():
@@ -298,12 +307,27 @@ def _kernel_table(rng, sr, n):
 
 
 def _same(got, want) -> bool:
-    """Equal with ``==`` and, cell for cell, of the same type."""
-    return got == want and list(map(type, got)) == list(map(type, want))
+    """The same cells by ``repr``: it tells ``int`` from ``float``, ``0.0``
+    from ``-0.0`` and ``nan`` from everything, and round-trips every float bit."""
+    return list(map(repr, got)) == list(map(repr, want))
+
+
+def _check_kernels(a, b, kept):
+    """combine, vacuous_extend, project and both index maps of ``a`` and
+    ``b`` against the per-cell reference kernels, bit for bit."""
+    cat = a.catalog
+    u, want = oracles.cellwise_combine(a, b)
+    got = sv.combine(a, b)
+    assert got.domain == u and _same(got.table, want)
+    for d in (a.domain, b.domain):
+        assert restriction_index_map(cat, u, d) == oracles.odometer_index_map(cat, u, d)
+    assert _same(sv.vacuous_extend(a, u).table, oracles.cellwise_extend(a, u))
+    for v, t in ((a, kept), (a, sv.Domain()), (got, b.domain)):
+        assert _same(sv.project(v, t).table, oracles.cellwise_project(v, t))
 
 
 def test_dense_kernels_match_cellwise_reference():
-    """combine/project/vacuous_extend and the index map against the per-cell
+    """combine/project/vacuous_extend and the index maps against the per-cell
     reference kernels, on names where string and numeric order differ."""
     rng = random.Random(2024)
     pool = [f"v{i}" for i in range(12)]  # "v10" < "v2"
@@ -314,29 +338,28 @@ def test_dense_kernels_match_cellwise_reference():
         s, t = helpers.random_domain(rng, cat, 6), helpers.random_domain(rng, cat, 4)
         a = sv.Valuation(cat, sr, s, _kernel_table(rng, sr, cat.config_count(s)))
         b = sv.Valuation(cat, sr, t, _kernel_table(rng, sr, cat.config_count(t)))
-
-        u, want = oracles.cellwise_combine(a, b)
-        got = sv.combine(a, b)
-        assert got.domain == u and _same(got.table, want), case
-        assert restriction_index_map(cat, u, t) == oracles.odometer_index_map(cat, u, t)
-        assert _same(sv.vacuous_extend(a, u).table, oracles.cellwise_extend(a, u)), case
-        kept = sv.Domain(tuple(rng.sample(s.names, rng.randint(0, len(s)))))
-        assert _same(sv.project(a, kept).table, oracles.cellwise_project(a, kept)), case
-        empty = sv.project(a, sv.Domain())
-        assert _same(empty.table, oracles.cellwise_project(a, sv.Domain())), case
+        _check_kernels(a, b, sv.Domain(tuple(rng.sample(s.names, rng.randint(0, len(s))))))
 
 
-ARRAY_SEMIRINGS = [sv.get_instance(name) for name in KERNEL_SEMIRINGS]
+def test_restriction_index_map_matches_the_odometer():
+    """Frames of one to four values, so that runs of missing variables
+    repeat blocks of every length, size-1 variables included."""
+    rng = random.Random(605)
+    pool = [f"v{i}" for i in range(12)]  # "v10" < "v2"
+    for case in range(1500):
+        names = rng.sample(pool, rng.randint(0, 7))
+        cat = sv.VariableCatalog.of({n: "abcd"[:rng.randint(1, 4)] for n in names})
+        big = sv.Domain(tuple(rng.sample(names, rng.randint(0, len(names)))))
+        sub = sv.Domain(tuple(rng.sample(big.names, rng.randint(0, len(big)))))
+        assert restriction_index_map(cat, big, sub) == oracles.odometer_index_map(cat, big, sub), case
 
 
-def _array_table(rng, sr, n):
-    """Cells that tell the array kernels from the tuple ones: signed zeros,
-    ``-inf``, mixed magnitudes, and int or mixed int/float tables."""
+def _special_table(rng, sr, n):
+    """Cells that tell fold orders and cell types apart: signed zeros,
+    infinities, ``nan``, mixed magnitudes, and int or mixed int/float tables."""
     r = rng.random()
-    if r < 0.15:
+    if r < 0.15 or sr.name == "boolean" or sr.name.startswith("chain"):
         return helpers.random_table(rng, sr, n)  # int-valued for several semirings
-    if sr.name in ("boolean",) or sr.name.startswith("chain"):
-        return helpers.random_table(rng, sr, n)
     if sr.name == "arithmetic":
         pool = (0.0, -0.0, 1e16, 1.0, 0.1, 3.0)
         cells = [rng.choice(pool) * (rng.uniform(1, 2) if rng.random() < 0.7 else 1)
@@ -347,127 +370,77 @@ def _array_table(rng, sr, n):
     else:  # bottleneck, fuzzy-product: [0, 1]
         cells = [rng.choice((0.0, -0.0, 1.0, rng.random(), rng.random()))
                  for _ in range(n)]
-    if r < 0.25 and n > 1:
-        cells[rng.randrange(n)] = 1  # one int cell keeps the whole table a tuple
+    for _ in range(rng.randint(0, 2)):
+        cells[rng.randrange(n)] = rng.choice((INF, NEG_INF, NAN))
+    if r < 0.25:
+        cells[rng.randrange(n)] = 1  # an int cell among floats
     return tuple(cells)
 
 
-def _check_layout(v):
-    """A table is an array exactly when it is large, all-float and
-    arithmetic; arrays are read-only."""
-    values = v.values
-    want = (len(values) >= valuation.ARRAY_MIN_CELLS
-            and v.semiring.name == "arithmetic"
-            and all(type(x) is float for x in values))
-    assert valuation._is_array(v.table) == want
-    if want:
-        assert not v.table.flags.writeable
-    else:
-        assert type(v.table) is tuple
-
-
-def _same_cells(got, want) -> bool:
-    """Per cell: ``==``, the printed text and the ``int``/``float`` type.
-
-    Together these pin every bit: ``==`` alone misses only ``0.0`` against
-    ``-0.0``, which print as ``0`` and ``-0``."""
-    _check_layout(got)
-    values = tuple(got.values)
-    return (values == want and list(map(type, values)) == list(map(type, want))
-            and list(map(format_value, values)) == list(map(format_value, want)))
-
-
-def _array_cases(rng, cases, frames, max_vars):
-    pool = [f"v{i}" for i in range(12)]  # "v10" < "v2"
-    for case in range(cases):
-        sr = ARRAY_SEMIRINGS[case % len(ARRAY_SEMIRINGS)]
-        names = rng.sample(pool, rng.randint(2, max_vars))
-        cat = sv.VariableCatalog.of({n: "abc"[:rng.choice(frames)] for n in names})
-        s = helpers.random_domain(rng, cat, max_vars)
-        t = helpers.random_domain(rng, cat, max_vars)
-        a = sv.Valuation(cat, sr, s, _array_table(rng, sr, cat.config_count(s)))
-        b = sv.Valuation(cat, sr, t, _array_table(rng, sr, cat.config_count(t)))
-        yield case, sr, cat, a, b
-
-
-def _check_array_case(rng, case, sr, cat, a, b):
-    for v in (a, b):
-        _check_layout(v)
-    u, want = oracles.cellwise_combine(a, b)
-    got = sv.combine(a, b)
-    assert got.domain == u and _same_cells(got, want), case
-    assert _same_cells(sv.vacuous_extend(a, u), oracles.cellwise_extend(a, u)), case
-    s = a.domain
-    kept = sv.Domain(tuple(rng.sample(s.names, rng.randint(0, len(s)))))
-    for t in (kept, sv.Domain()):
-        assert _same_cells(sv.project(a, t), oracles.cellwise_project(a, t)), case
-    assert _same_cells(sv.project(got, b.domain), oracles.cellwise_project(got, b.domain)), case
-    n = cat.config_count(u)
-    assert _same_cells(sv.unit(cat, sr, u), (sr.one,) * n), case
-    assert _same_cells(sv.null(cat, sr, u), (sr.zero,) * n), case
-
-
-def test_array_kernels_match_cellwise_reference(monkeypatch):
-    """Both layouts against the per-cell reference kernels.  The threshold is
-    lowered so that small tables fall on both sides of it."""
-    monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", 12)
+def test_kernels_match_cellwise_reference_on_special_values():
+    """Small tables of every kernel semiring whose cells include signed
+    zeros, infinities, ``nan`` and ints, on names where string and numeric
+    order differ."""
     rng = random.Random(606)
-    for case in _array_cases(rng, 660, frames=(1, 2, 3, 3), max_vars=6):
-        _check_array_case(rng, *case)
+    pool = [f"v{i}" for i in range(12)]  # "v10" < "v2"
+    for case in range(660):
+        sr = sv.get_instance(KERNEL_SEMIRINGS[case % len(KERNEL_SEMIRINGS)])
+        names = rng.sample(pool, rng.randint(2, 6))
+        cat = sv.VariableCatalog.of({n: "abc"[:rng.choice((1, 2, 3, 3))] for n in names})
+        s, t = helpers.random_domain(rng, cat, 6), helpers.random_domain(rng, cat, 6)
+        a = sv.Valuation(cat, sr, s, _special_table(rng, sr, cat.config_count(s)))
+        b = sv.Valuation(cat, sr, t, _special_table(rng, sr, cat.config_count(t)))
+        _check_kernels(a, b, sv.Domain(tuple(rng.sample(s.names, rng.randint(0, len(s))))))
 
 
-def _kernel_results(a, b, kept):
-    u = a.domain | b.domain
-    got = sv.combine(a, b)
-    return [got, sv.vacuous_extend(a, u), sv.project(a, kept), sv.project(a, sv.Domain()),
-            sv.project(got, b.domain), sv.unit(a.catalog, a.semiring, u)]
-
-
-def test_array_kernels_at_the_real_threshold(monkeypatch):
-    """At the shipped threshold, against the tuple layout (whose kernels the
-    tests above pin to the cellwise reference)."""
-    rng = random.Random(61)
-    T = valuation.ARRAY_MIN_CELLS
-    assert T == 3**10
-    names = [f"v{i}" for i in range(10)]  # "v10" < "v2"
+@pytest.mark.parametrize("name", KERNEL_SEMIRINGS)
+def test_kernels_match_cellwise_reference_on_3_10_and_3_11_cells(name):
+    """Tables of 3^10 and 3^11 cells, projected to domains whose dropped
+    variables form several runs between kept ones."""
+    rng = random.Random(f"large:{name}")
+    sr = sv.get_instance(name)
+    names = [f"v{i}" for i in range(11)]  # "v10" < "v2"
     cat = sv.VariableCatalog.of({n: "abc" for n in names})
-    for case, sr in enumerate(ARRAY_SEMIRINGS):
-        # a table at the threshold, or one variable short of it, times a
-        # 9-cell table whose variables reach or do not reach the threshold
-        big = sv.Domain(tuple(names[case % 2:]))
-        small = sv.Domain(tuple(rng.sample(names, 2)))
-        cells = (_array_table(rng, sr, cat.config_count(big)), _array_table(rng, sr, 9))
-        kept = sv.Domain(tuple(rng.sample(big.names, rng.randint(0, len(big)))))
-        runs = []
-        for threshold in (T, 10**12):
-            monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", threshold)
-            a, b = sv.Valuation(cat, sr, big, cells[0]), sv.Valuation(cat, sr, small, cells[1])
-            runs.append(_kernel_results(a, b, kept))
-        monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", T)
-        for got, want in zip(*runs):
-            assert got.domain == want.domain and _same_cells(got, tuple(want.values)), case
+    # 3^11 cells for the float semirings whose sums depend on fold order; the
+    # others lack v6, so the product's map of them repeats blocks of 27 cells
+    big = sv.Domain(tuple(n for n in names if n != "v6" or name in ("arithmetic", "tropical")))
+    small = sv.Domain(("v6", rng.choice(names[:6])))
+    a = sv.Valuation(cat, sr, big, _special_table(rng, sr, cat.config_count(big)))
+    b = sv.Valuation(cat, sr, small, _special_table(rng, sr, 9))
+    # every other variable kept: one dropped run between each two kept ones
+    kept = sv.Domain(big.names[rng.randrange(2)::2])
+    _check_kernels(a, b, kept)
 
 
-def test_array_and_tuple_layouts_give_identical_collect_results(monkeypatch):
-    """Message passing with every table above 8 cells as an array gives the
-    tuple layout's results bit for bit."""
+class _CellwiseOps(sv.ValuationOps):
+    """The solver's dense adapter on the per-cell reference kernels."""
+
+    def combine(self, a, b):
+        u, table = oracles.cellwise_combine(a, b)
+        return sv.Valuation(a.catalog, a.semiring, u, table)
+
+    def message(self, a, target):
+        t = a.domain & target
+        return sv.Valuation(a.catalog, a.semiring, t, oracles.cellwise_project(a, t))
+
+
+def test_collect_and_distribute_match_the_cellwise_kernels():
+    """Message passing on the package's kernels gives, bit for bit, the
+    results of the same passes on the per-cell reference kernels."""
     rng = random.Random(607)
     for k in range(140):
-        sr = ARRAY_SEMIRINGS[k % len(ARRAY_SEMIRINGS)]
+        sr = sv.get_instance(KERNEL_SEMIRINGS[k % len(KERNEL_SEMIRINGS)])
         cat = helpers.random_catalog(rng, max_vars=6, max_frame=3)
-        factors = [sv.Valuation(cat, sr, d, _array_table(rng, sr, cat.config_count(d)))
+        factors = [sv.Valuation(cat, sr, d, _special_table(rng, sr, cat.config_count(d)))
                    for d in (helpers.random_domain(rng, cat, 4)
                              for _ in range(rng.randint(1, 5)))]
         tree = sv.build_covering_join_tree([f.domain for f in factors])
-        ops = sv.ValuationOps(cat, sr)
         runs = []
-        for threshold in (valuation.ARRAY_MIN_CELLS, 8):
-            monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", threshold)
-            fs = [sv.Valuation(cat, sr, f.domain, tuple(f.values)) for f in factors]
-            result, store = sv.collect(tree, fs, 0, ops)
-            runs.append([result] + sv.distribute(tree, fs, store, ops))
+        for ops in (sv.ValuationOps(cat, sr), _CellwiseOps(cat, sr)):
+            result, store = sv.collect(tree, factors, 0, ops)
+            runs.append([result] + sv.distribute(tree, factors, store, ops))
         for got, want in zip(*runs):
-            assert got.domain == want.domain and _same_cells(got, tuple(want.values)), k
+            assert got.domain == want.domain and _same(got.table, want.table), k
 
 
 def _overflowing_model() -> str:
@@ -483,23 +456,22 @@ def _overflowing_model() -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_array_overflow_is_as_silent_as_python_floats(tmp_path, capsys, monkeypatch):
-    """Overflow and ``inf * 0`` raise no warning on either layout, even
-    with warnings as errors, and both layouts print the same report."""
+def test_overflow_is_as_silent_as_python_floats(tmp_path, capsys):
+    """Overflow to ``inf`` and ``inf * 0`` raise no warning, even with
+    warnings as errors, and print as ``inf`` and ``nan``."""
     import warnings
 
     from semival import cli
 
     path = tmp_path / "overflow.sv"
     path.write_text(_overflowing_model())
-    outputs = []
-    for threshold in (valuation.ARRAY_MIN_CELLS, 3**11 + 1):
-        monkeypatch.setattr(valuation, "ARRAY_MIN_CELLS", threshold)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.main(["solve", str(path)])
-        out, err = capsys.readouterr()
-        assert code == 0 and err.startswith("elapsed: ") and err.count("\n") == 1, err
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-    assert "inf" in outputs[0] and "nan" in outputs[0], outputs[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err.startswith("elapsed: ") and err.count("\n") == 1, err
+    assert [line for line in out.splitlines() if line.startswith("result ")] == [
+        "result {w0}: nan inf inf",
+        "result {w1}: nan nan nan",
+        "result {w0 z}: nan nan nan inf inf inf inf inf inf",
+    ], out
