@@ -1,8 +1,12 @@
-"""numpy is imported only by jobs whose tables reach the array threshold.
+"""No job imports numpy.
 
-Each command runs in a fresh interpreter, which then reports whether
-``numpy`` is in ``sys.modules``: importing it costs start-up time and
-about 13 MB of resident memory that small jobs should not pay.
+Tables are tuples, and numpy is not a dependency; importing it would cost a
+job over 100 ms of start-up and about 13 MB of resident memory.  Each command
+runs in a fresh interpreter on the full test models (the ``laws`` model and a
+400-variable chain), which then reports whether ``numpy`` is in
+``sys.modules``.  ``tests/test_lazy_imports.py`` checks the same on minimal
+models, together with the ``semival`` modules each command loads and the
+3^10-cell table that once switched to numpy arrays.
 """
 
 import os
@@ -35,15 +39,6 @@ def _chain_model(length: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _wide_model(variables: int) -> str:
-    """One all-float factor over ``variables`` ternary variables."""
-    names = [f"w{i}" for i in range(variables)]
-    lines = ["catalog"] + [f"  var {n} : 0 1 2" for n in names] + ["end", "semiring arithmetic"]
-    lines += [f"factor f on {' '.join(names)}", "  table " + " ".join(["0.5"] * 3**variables),
-              "end", f"query {names[0]}"]
-    return "\n".join(lines) + "\n"
-
-
 def _numpy_imported(argv, cwd) -> bool:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -68,7 +63,6 @@ COMMANDS = [
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("models")
     (d / "chain.sv").write_text(_chain_model(400))
-    (d / "wide.sv").write_text(_wide_model(10))
     for name in ("laws.sv", "evidence.sv"):
         (d / name).write_text((HERE / "models" / name).read_text())
     return d
@@ -77,8 +71,3 @@ def workdir(tmp_path_factory):
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: "-".join([a[0]] + a[3:4]))
 def test_small_jobs_do_not_import_numpy(argv, workdir):
     assert not _numpy_imported(argv, workdir)
-
-
-def test_a_table_at_the_threshold_imports_numpy(workdir):
-    # the control: 3^10 cells is the array threshold
-    assert _numpy_imported(["solve", "wide.sv"], workdir)
