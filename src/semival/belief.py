@@ -107,7 +107,7 @@ class SetPotential(Frozen):
                 raise DomainError(
                     f"focal set over {fs.domain} in potential over {domain}"
                 )
-            if mass <= 0:
+            if not mass > 0:  # nan too
                 raise MassError(f"non-positive mass {mass}")
         object.__setattr__(self, "catalog", catalog)
         object.__setattr__(self, "domain", domain)

@@ -11,6 +11,7 @@ text that parses back to structurally equal objects.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from .compare import DEFAULT_COMPARATOR, Comparator
@@ -307,6 +308,9 @@ class _Parser:
                     mass = float(mass_text)
                 except ValueError:
                     raise ParseError(f"bad mass {mass_text.strip()!r}", no) from None
+                if not math.isfinite(mass):
+                    raise ParseError(
+                        f"mass {mass_text.strip()!r} is not a finite number", no)
                 configs = _parse_configs(self.catalog, domain, cfg_text, no)
                 items.append((bf.FocalSet.of(self.catalog, domain, configs), mass))
             else:

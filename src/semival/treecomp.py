@@ -272,55 +272,36 @@ def build_covering_join_tree(
 
 def _absorb_subsumed(labels: list[Domain], edges: list[tuple[int, int]],
                      assignment: list[int]) -> LabeledTree:
-    """Contract edges whose one label contains the other's.
+    """Contract every cluster into a neighbouring one whose label contains it.
 
-    Absorbing a subsumed cluster into its neighbour preserves the running
-    intersection property and keeps factor coverage; the scan order makes
-    the result deterministic.
+    Cluster ``i`` holds the variable eliminated at step ``i``, which no
+    later cluster holds, so only a later cluster can lie within an earlier
+    one.  One pass in elimination order lets each cluster not yet absorbed
+    take in, by a walk over the edges, every later connected cluster within
+    its label; a cluster that finds none then never will.  Contraction
+    keeps the running intersection property and factor coverage.
     """
-    labels = list(labels)
-    adj: dict[int, set[int]] = {i: set() for i in range(len(labels))}
+    adj: list[list[int]] = [[] for _ in labels]
     for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    alive = set(adj)
-    merged_into = list(range(len(labels)))
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(alive):
-            for b in sorted(adj[a]):
-                if labels[a] <= labels[b]:
-                    gone, keep = a, b
-                elif labels[b] <= labels[a]:
-                    gone, keep = b, a
-                else:
-                    continue
-                for u in adj[gone] - {keep}:
-                    adj[u].discard(gone)
-                    adj[u].add(keep)
-                    adj[keep].add(u)
-                adj[keep].discard(gone)
-                del adj[gone]
-                alive.discard(gone)
-                merged_into[gone] = keep
-                changed = True
-                break
-            if changed:
-                break
-
-    def resolve(i: int) -> int:
-        while merged_into[i] != i:
-            i = merged_into[i]
-        return i
-
-    renum = {old: new for new, old in enumerate(sorted(alive))}
-    new_labels = tuple(labels[old] for old in sorted(alive))
-    new_edges = tuple(
-        (renum[a], renum[b]) for a in sorted(alive) for b in sorted(adj[a]) if a < b
+        adj[a].append(b)
+        adj[b].append(a)
+    rep = list(range(len(labels)))
+    for a, label in enumerate(labels):
+        if rep[a] != a:
+            continue
+        stack = [a]
+        while stack:
+            for x in adj[stack.pop()]:
+                if x > a and rep[x] == x and labels[x] <= label:
+                    rep[x] = a
+                    stack.append(x)
+    keep = [a for a in range(len(labels)) if rep[a] == a]
+    renum = {a: k for k, a in enumerate(keep)}
+    return LabeledTree(
+        tuple(labels[a] for a in keep),
+        tuple((renum[rep[u]], renum[rep[v]]) for u, v in edges if rep[u] != rep[v]),
+        tuple(renum[rep[k]] for k in assignment),
     )
-    new_assignment = tuple(renum[resolve(v)] for v in assignment)
-    return LabeledTree(new_labels, new_edges, new_assignment)
 
 
 def tree_to_sequence(tree: LabeledTree, root: int | None = None
@@ -481,16 +462,17 @@ def collect(tree: LabeledTree, factors: Sequence, root: int, ops):
     """
     if not 0 <= root < len(tree):
         raise DomainError(f"root {root} out of range")
-    if not is_join_tree(tree):
+    # running intersection holds for every rooting or none, so the
+    # leaves-first numbering that is checked also schedules the messages
+    seq, order = tree_to_sequence(tree, root)
+    if first_sequence_violation(seq) is not None:
         raise DomainError("labels do not form a join tree")
     node_factors = _node_factors(tree, factors, ops)
-    order, parent = tree.rooted_order(root)
     store = MessageStore(root=root, node_factors=tuple(node_factors))
-    for v in reversed(order):
-        if v == root:
-            continue
-        acc = _absorb(tree, node_factors, store.messages, v, parent[v], ops)
-        store.messages[(v, parent[v])] = ops.message(acc, tree.labels[parent[v]])
+    for v, j in zip(order, seq.b):
+        p = order[j]
+        acc = _absorb(tree, node_factors, store.messages, v, p, ops)
+        store.messages[(v, p)] = ops.message(acc, tree.labels[p])
     return _absorb(tree, node_factors, store.messages, root, root, ops), store
 
 

@@ -88,7 +88,8 @@ def pairwise_join_tree(tree):
 def rescan_covering_join_tree(factor_domains, heuristic="min-fill", cover=()):
     """The covering-join-tree builder as first written: every elimination
     step rescores every remaining variable and takes the ``(cost, name)``
-    minimum.  The package's incremental builder must give the same tree."""
+    minimum, and subsumed clusters are contracted by the restarting
+    fixpoint below.  The package's builder must give the same tree."""
     cliques = [set(d.names) for d in factor_domains] + [set(d.names) for d in cover]
     variables = sorted(set().union(*cliques)) if cliques else []
     if not variables:
@@ -128,7 +129,57 @@ def rescan_covering_join_tree(factor_domains, heuristic="min-fill", cover=()):
         edges.append((i, min(later) if later else i + 1))
     assignment = [min(elim_step[v] for v in d.names) if d else 0
                   for d in factor_domains]
-    return treecomp._absorb_subsumed(clusters, edges, assignment)
+    return fixpoint_absorb_subsumed(clusters, edges, assignment)
+
+
+def fixpoint_absorb_subsumed(labels, edges, assignment):
+    """Subsumed clusters contracted as first written: after every merge the
+    scan restarts from the first node, until no edge joins two labels one
+    of which contains the other.  The package's one-pass absorption must
+    give the same tree."""
+    labels = list(labels)
+    adj: dict[int, set[int]] = {i: set() for i in range(len(labels))}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    alive = set(adj)
+    merged_into = list(range(len(labels)))
+    changed = True
+    while changed:
+        changed = False
+        for a in sorted(alive):
+            for b in sorted(adj[a]):
+                if labels[a] <= labels[b]:
+                    gone, keep = a, b
+                elif labels[b] <= labels[a]:
+                    gone, keep = b, a
+                else:
+                    continue
+                for u in adj[gone] - {keep}:
+                    adj[u].discard(gone)
+                    adj[u].add(keep)
+                    adj[keep].add(u)
+                adj[keep].discard(gone)
+                del adj[gone]
+                alive.discard(gone)
+                merged_into[gone] = keep
+                changed = True
+                break
+            if changed:
+                break
+
+    def resolve(i: int) -> int:
+        while merged_into[i] != i:
+            i = merged_into[i]
+        return i
+
+    renum = {old: new for new, old in enumerate(sorted(alive))}
+    new_labels = tuple(labels[old] for old in sorted(alive))
+    new_edges = tuple(
+        (renum[a], renum[b]) for a in sorted(alive) for b in sorted(adj[a]) if a < b
+    )
+    new_assignment = tuple(renum[resolve(v)] for v in assignment)
+    return treecomp.LabeledTree(new_labels, new_edges, new_assignment)
 
 
 # --- per-cell reference kernels ----------------------------------------------

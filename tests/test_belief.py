@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -49,6 +50,8 @@ def test_set_potential_canonical_form(ab):
     assert len(dropped.focal) == 1
     with pytest.raises(MassError):
         sv.set_potential(cat, U, [(fs("a"), -0.2)])
+    with pytest.raises(MassError):
+        sv.SetPotential(cat, U, ((fs("a"), math.nan),))
     with pytest.raises(MassError):
         sv.set_potential(cat, U, [(fs("a"), 0.7)], "bpa")
 

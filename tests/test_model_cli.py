@@ -387,12 +387,21 @@ _TWO_VARS = "catalog\n  var x : 0 1\n  var y : 0 1\nend\n"
      "line 6: expected 'partition NAME of UNIVERSE : {a b} {c}'"),
     ("universe u : 1 2 3\npartition p of u : {1 2} {3}\npartition p of u : {1} {2 3}\n",
      "line 7: duplicate partition 'p' (first at line 6)"),
+    ("potential p on x\n  kind raw\n  focal 0.5 : (1)\n  focal nan : (0)\nend\n",
+     "line 8: mass 'nan' is not a finite number"),
+    ("potential p on x\n  kind raw\n  focal inf : (0)\nend\n",
+     "line 7: mass 'inf' is not a finite number"),
+    ("potential p on x\n  kind raw\n  focal 1e400 : (0)\nend\n",
+     "line 7: mass '1e400' is not a finite number"),
 ], ids=["semiring", "potential", "universe", "partition", "tree", "sequence",
-        "hypothesis", "focal", "blocks", "partition-junk", "partition-twice"])
+        "hypothesis", "focal", "blocks", "partition-junk", "partition-twice",
+        "mass-nan", "mass-inf", "mass-overflow"])
 def test_rejected_stanza_messages(stanza, message):
     with pytest.raises(ParseError) as exc:
         parse_model(_TWO_VARS + stanza)
     assert str(exc.value) == message
+    code, out, err = _run_stdin(["render", "-"], _TWO_VARS + stanza)
+    assert (code, out, err) == (2, "", f"semival: error: {message}\n")
 
 
 @pytest.mark.parametrize("steps, message", [
