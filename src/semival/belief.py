@@ -3,9 +3,9 @@
 A :class:`SetPotential` maps focal sets (sets of configurations of its
 domain) to positive masses.  Combination intersects cylindrically
 extended focal pairs on the union domain and accumulates their mass
-products; transport moves each focal set through the subset algebra and
-merges colliding images.  A potential flagged ``bpa`` carries total mass
-one; its conflict (mass of the empty focal set) is tracked explicitly
+products; transport restricts each focal set to the shared variables,
+extends it as a cylinder and merges colliding images.  A potential
+flagged ``bpa`` carries total mass one; its conflict (mass of the empty focal set) is tracked explicitly
 rather than silently renormalized, and the combination rule with
 conflict removed and the rest conditioned on consistency is available as
 :func:`dempster_combine`.
@@ -18,6 +18,7 @@ touch all ``2^k`` subsets.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -161,24 +162,27 @@ def vacuous(cat: VariableCatalog, domain: Domain) -> SetPotential:
     return set_potential(cat, domain, [(FocalSet.full(cat, domain), 1.0)], BPA)
 
 
-def _index_sets(cat: VariableCatalog, p: SetPotential) -> list[tuple[frozenset, float]]:
-    st = dm.strides(cat, p.domain)
-    out = []
-    for fs, mass in p.focal:
-        idx = frozenset(sum(v * s for v, s in zip(values, st)) for values in fs.configs)
-        out.append((idx, mass))
-    return out
+def _restrictor(big: Domain, sub: Domain):
+    """The map of a configuration of ``big`` to its restriction to ``sub <= big``."""
+    pos = [big.names.index(name) for name in sub.names]
+    if len(pos) > 1:
+        return operator.itemgetter(*pos)
+    return lambda values: tuple(values[p] for p in pos)  # itemgetter needs two to make a tuple
 
 
-def _from_indices(domain: Domain, configs: list[tuple[int, ...]], indices) -> FocalSet:
-    """The focal set of ``domain`` at row-major ``indices`` into its ``configs``."""
-    return FocalSet(domain, tuple(configs[i] for i in sorted(indices)))
+def _cylinder(cat: VariableCatalog, d: Domain, t: Domain, cap: int | None):
+    """Sets of ``d``'s configurations to their cylinders over ``t`` (``d <= t``)."""
+    fibres: dict[tuple, list] = {}
+    restrict = _restrictor(t, d)
+    for values in dm.config_values(cat, t, cap):
+        fibres.setdefault(restrict(values), []).append(values)
+    return lambda configs: frozenset().union(*map(fibres.__getitem__, configs))
 
 
 def combine_potentials(
     m1: SetPotential, m2: SetPotential, cap: int | None = dm.DEFAULT_CONFIG_CAP
 ) -> SetPotential:
-    """Intersect cylindrified focal pairs on the union domain.
+    """Intersect focal pairs on the union domain, each set cylindrified once.
 
     Mass landing on the empty set is kept (the result is a raw
     potential); accumulation runs in canonical focal order so results are
@@ -188,40 +192,35 @@ def combine_potentials(
         raise MismatchError("potentials use different catalogs")
     cat = m1.catalog
     u = m1.domain | m2.domain
-    configs = dm.config_values(cat, u, cap)
-    n = len(configs)
-    r1 = dm.restriction_index_map(cat, u, m1.domain)
-    r2 = dm.restriction_index_map(cat, u, m2.domain)
+    cyl1, cyl2 = (_cylinder(cat, m.domain, u, cap) for m in (m1, m2))
+    right = [(cyl2(fs.configs), mass) for fs, mass in m2.focal]
     out: dict[frozenset, float] = {}
-    right = _index_sets(cat, m2)
-    for s1, mass1 in _index_sets(cat, m1):
+    for fs, mass1 in m1.focal:
+        s1 = cyl1(fs.configs)
         for s2, mass2 in right:
-            meet = frozenset(
-                i for i in range(n) if r1[i] in s1 and r2[i] in s2
-            )
+            meet = s1 & s2
             out[meet] = out.get(meet, 0.0) + mass1 * mass2
-    items = [(_from_indices(u, configs, idx), mass) for idx, mass in out.items()]
+    items = [(FocalSet(u, tuple(meet)), mass) for meet, mass in out.items()]
     return set_potential(cat, u, items, RAW)
 
 
 def transport_potential(
     m: SetPotential, t: Domain, cap: int | None = dm.DEFAULT_CONFIG_CAP
 ) -> SetPotential:
-    """Move every focal set to domain ``t``; colliding images merge."""
+    """Restrict each focal set to ``d(m) & t``, extend it to ``t``; images merge."""
     cat = m.catalog
     cat.check_domain(t)
     if t == m.domain:
         return m
-    u = m.domain | t
-    n = cat.config_count(u, cap=cap)
-    configs = dm.config_values(cat, t, cap=None)
-    rd = dm.restriction_index_map(cat, u, m.domain)
-    rt = dm.restriction_index_map(cat, u, t)
+    cat.config_count(m.domain | t, cap=cap)
+    shared = m.domain & t
+    restrict = _restrictor(m.domain, shared)
     out: dict[frozenset, float] = {}
-    for s, mass in _index_sets(cat, m):
-        image = frozenset(rt[i] for i in range(n) if rd[i] in s)
+    for fs, mass in m.focal:
+        image = frozenset(map(restrict, fs.configs))
         out[image] = out.get(image, 0.0) + mass
-    items = [(_from_indices(t, configs, idx), mass) for idx, mass in out.items()]
+    cyl = _cylinder(cat, shared, t, None)
+    items = [(FocalSet(t, tuple(cyl(image))), mass) for image, mass in out.items()]
     return set_potential(cat, t, items, RAW)
 
 

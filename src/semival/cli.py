@@ -196,7 +196,8 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
         combined = _combined_potential(model, comparator, args.cap)
         names = " * ".join(n for n, _ in model.potentials)
         lines.append(f"combined: {names}")
-        conflict = combined.conflict if combined.conflict is not None else 0.0
+        # a lone raw potential records no conflict: its own empty-set mass is it
+        conflict = combined.conflict if combined.conflict is not None else combined.empty_mass()
         lines.append(f"conflict: {format_value(conflict)}")
         lines.extend(_potential_lines(model, combined, "focal "))
     elif op in ("support", "plausibility"):

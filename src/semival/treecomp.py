@@ -467,9 +467,17 @@ def collect(tree: LabeledTree, factors: Sequence, root: int, ops):
     seq, order = tree_to_sequence(tree, root)
     if first_sequence_violation(seq) is not None:
         raise DomainError("labels do not form a join tree")
+    return _inward(tree, factors, order, seq.b, ops)
+
+
+def _inward(tree: LabeledTree, factors: Sequence, order: Sequence[int],
+            b: Sequence[int], ops):
+    """The inward pass on a checked leaves-first numbering: node ``order[i]``
+    sends to ``order[b[i]]``, and ``order[-1]`` is the root."""
+    root = order[-1]
     node_factors = _node_factors(tree, factors, ops)
     store = MessageStore(root=root, node_factors=tuple(node_factors))
-    for v, j in zip(order, seq.b):
+    for v, j in zip(order, b):
         p = order[j]
         acc = _absorb(tree, node_factors, store.messages, v, p, ops)
         store.messages[(v, p)] = ops.message(acc, tree.labels[p])
@@ -529,6 +537,8 @@ def default_root(tree: LabeledTree, query: Domain) -> int:
 def hypertree_collect(seq: EliminationSequence, factors: Sequence, ops):
     """Collect on the sequence's tree, rooted at its last node.
 
+    The sequence is itself a leaves-first numbering of that tree, so the
+    inward pass runs in sequence order after the sequence's one check.
     Returns the combined information on the final domain and the
     :class:`MessageStore` for :func:`hypertree_distribute`.
     """
@@ -546,7 +556,7 @@ def hypertree_collect(seq: EliminationSequence, factors: Sequence, ops):
                 f"factor {i} lives on {f.domain}, sequence expects "
                 f"{seq.domains[i]}"
             )
-    return collect(tree, factors, len(seq) - 1, ops)
+    return _inward(tree, factors, range(len(seq)), seq.b, ops)
 
 
 def hypertree_distribute(seq: EliminationSequence, store: MessageStore, ops):

@@ -9,8 +9,9 @@ import itertools
 
 from semival import domains as dm
 from semival import treecomp
+from semival.belief import RAW, FocalSet, set_potential
 from semival.domains import EMPTY_DOMAIN, Domain
-from semival.errors import DomainError
+from semival.errors import DomainError, MismatchError
 from semival.treecomp import join_of
 
 
@@ -387,6 +388,68 @@ def markov_check_direct(tree) -> bool:
     return True
 
 
+# --- index-map set potentials ------------------------------------------------
+# Set-potential combination and transport as first written: focal sets as
+# row-major index sets, one scan of the whole union frame per focal pair (per
+# focal set in transport) through two restriction maps, and a decode back to
+# configuration tuples.  The package's cylinder forms must give the same focal
+# tuples, bit for bit.  The maps are the odometer ones above.
+
+def _index_sets(cat, p):
+    st = _strides(cat, p.domain)
+    out = []
+    for fs, mass in p.focal:
+        idx = frozenset(sum(v * s for v, s in zip(values, st)) for values in fs.configs)
+        out.append((idx, mass))
+    return out
+
+
+def _from_indices(domain, configs, indices):
+    """The focal set of ``domain`` at row-major ``indices`` into its ``configs``."""
+    return FocalSet(domain, tuple(configs[i] for i in sorted(indices)))
+
+
+def index_map_combine_potentials(m1, m2, cap=dm.DEFAULT_CONFIG_CAP):
+    """Intersect cylindrified focal pairs on the union domain."""
+    if m1.catalog != m2.catalog:
+        raise MismatchError("potentials use different catalogs")
+    cat = m1.catalog
+    u = m1.domain | m2.domain
+    configs = dm.config_values(cat, u, cap)
+    n = len(configs)
+    r1 = odometer_index_map(cat, u, m1.domain)
+    r2 = odometer_index_map(cat, u, m2.domain)
+    out = {}
+    right = _index_sets(cat, m2)
+    for s1, mass1 in _index_sets(cat, m1):
+        for s2, mass2 in right:
+            meet = frozenset(
+                i for i in range(n) if r1[i] in s1 and r2[i] in s2
+            )
+            out[meet] = out.get(meet, 0.0) + mass1 * mass2
+    items = [(_from_indices(u, configs, idx), mass) for idx, mass in out.items()]
+    return set_potential(cat, u, items, RAW)
+
+
+def index_map_transport_potential(m, t, cap=dm.DEFAULT_CONFIG_CAP):
+    """Move every focal set to domain ``t``; colliding images merge."""
+    cat = m.catalog
+    cat.check_domain(t)
+    if t == m.domain:
+        return m
+    u = m.domain | t
+    n = cat.config_count(u, cap=cap)
+    configs = dm.config_values(cat, t, cap=None)
+    rd = odometer_index_map(cat, u, m.domain)
+    rt = odometer_index_map(cat, u, t)
+    out = {}
+    for s, mass in _index_sets(cat, m):
+        image = frozenset(rt[i] for i in range(n) if rd[i] in s)
+        out[image] = out.get(image, 0.0) + mass
+    items = [(_from_indices(t, configs, idx), mass) for idx, mass in out.items()]
+    return set_potential(cat, t, items, RAW)
+
+
 # --- law checkers as first written -------------------------------------------
 # The stock samplers through ``randint``/``uniform``, ``run_law`` as a loop,
 # the semiring checker over every draw and the q-separoid checker calling
@@ -493,7 +556,7 @@ def per_call_check_qseparoid(parts, exhaustive_limit=200_000, seed=0, indep=None
     import random
     from functools import partial
 
-    from semival.errors import DomainError
+    from semival.errors import DomainError, MismatchError
     from semival.partitions import (_same_universe, _triple_witness,
                                     cond_indep_partitions, partition_join,
                                     partition_leq)

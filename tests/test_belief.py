@@ -9,6 +9,7 @@ from semival.belief import all_focal_sets
 from semival.errors import CapacityError, DomainError, MassError, TotalConflictError
 
 import helpers
+import oracles
 
 
 @pytest.fixture
@@ -110,6 +111,75 @@ def test_combine_against_brute_force():
                 expect[cyl] = expect.get(cyl, 0.0) + mass1 * mass2
         for fset, mass in expect.items():
             assert abs(got.mass(sv.FocalSet(u, tuple(fset))) - mass) < 1e-9
+
+
+def _domain_pair(rng, cat, shape):
+    """Two domains of ``cat`` related as ``shape`` says; the catalog has five
+    variables, so every shape fits."""
+    names = [v.name for v in cat.variables]
+    rng.shuffle(names)
+    only1, shared, only2 = {
+        "empty": (0, 0, rng.randint(0, 3)),
+        "nested": (0, rng.randint(1, 2), rng.randint(1, 2)),
+        "overlapping": (rng.randint(1, 2), 1, rng.randint(1, 2)),
+        "disjoint": (rng.randint(1, 2), 0, rng.randint(1, 3)),
+    }[shape]
+    d1 = sv.Domain(tuple(names[:only1 + shared]))
+    d2 = sv.Domain(tuple(names[only1:only1 + shared + only2]))
+    return (d1, d2) if rng.random() < 0.5 else (d2, d1)
+
+
+def _random_potential(rng, cat, domain):
+    """A bpa, or raw masses on 1-5 subsets of the frame that often include the
+    empty set (now and then as the only focal set)."""
+    if rng.random() < 0.25:
+        return helpers.random_bpa(rng, cat, domain)
+    frame = sv.FocalSet.full(cat, domain).configs
+    items = [(sv.FocalSet(domain, tuple(rng.sample(frame, 0 if rng.random() < 0.3
+                                                    else rng.randint(1, len(frame))))),
+              rng.random() + 0.05)
+             for _ in range(rng.randint(1, 5))]
+    return sv.set_potential(cat, domain, items)
+
+
+def _bits(p):
+    return p.domain, p.kind, p.conflict, [(fs, mass.hex()) for fs, mass in p.focal]
+
+
+def test_cylinder_forms_match_the_index_map_forms():
+    """Combination and transport give the focal tuples of the index-map forms
+    in ``oracles``, bit for bit, on every shape of domain pair: one domain
+    empty, nested either way, overlapping but incomparable, and disjoint."""
+    rng = random.Random(21)
+    shapes = ("empty", "nested", "overlapping", "disjoint")
+    with_empty = 0
+    for k in range(400):
+        cat = sv.VariableCatalog.of(
+            {f"x{i}": tuple("abc"[:rng.randint(1, 3)]) for i in range(5)})
+        d1, d2 = _domain_pair(rng, cat, shapes[k % 4])
+        m1, m2 = _random_potential(rng, cat, d1), _random_potential(rng, cat, d2)
+        with_empty += m1.empty_mass() > 0 or m2.empty_mass() > 0
+        got = sv.combine_potentials(m1, m2)
+        assert _bits(got) == _bits(oracles.index_map_combine_potentials(m1, m2))
+        for m, t in ((m1, d2), (m2, d1), (got, d1), (got, d2), (m1, d1 & d2),
+                     (m1, d1 | d2), (m1, sv.EMPTY_DOMAIN)):
+            assert (_bits(sv.transport_potential(m, t))
+                    == _bits(oracles.index_map_transport_potential(m, t)))
+    assert with_empty > 100
+
+
+def test_combine_and_transport_honour_cap():
+    """The cap bounds the union domain, whichever domain the result lives on."""
+    cat = sv.VariableCatalog.of({f"x{i}": ("0", "1") for i in range(7)})
+    left, right = cat.domain("x0", "x1", "x2", "x3"), cat.domain("x3", "x4", "x5", "x6")
+    m1, m2 = sv.vacuous(cat, left), sv.vacuous(cat, right)
+    message = "domain {x0 x1 x2 x3 x4 x5 x6} has more than 100 configurations"
+    with pytest.raises(CapacityError, match=message):
+        sv.combine_potentials(m1, m2, cap=100)
+    with pytest.raises(CapacityError, match=message):
+        sv.transport_potential(m1, right, cap=100)
+    assert sv.combine_potentials(m1, m2, cap=128).domain == left | right
+    assert sv.transport_potential(m1, right, cap=128).focal == sv.vacuous(cat, right).focal
 
 
 def test_transport_examples():

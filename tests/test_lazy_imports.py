@@ -62,6 +62,13 @@ MODELS = {
         "sequence s\n  step a b -> 2\n  step b\nend\n"
     ),
     "wide.sv": _wide_model(10),
+    # hypotheses off the union domain, so support and plausibility transport
+    "transport.sv": (
+        "catalog\n  var u : 0 1\n  var v : 0 1\n  var w : 0 1\nend\n"
+        "potential a on u v\n  kind bpa\n  focal 1 : (0 0) (1 1)\nend\n"
+        "potential b on v w\n  kind bpa\n  focal 0.5 : (0 0)\n  focal 0.5 : (0 0) (1 1)\nend\n"
+        "hypothesis h on u : (0)\n"
+    ),
 }
 
 # (argv, semival modules and watched modules the command must not load)
@@ -82,7 +89,9 @@ CASES = {
                    {"valuation", "belief", "partitions", "reports", "random"}),
     "check-sequence": (["check", "sequence.sv", "--what", "sequence"],
                        {"valuation", "belief", "partitions", "reports", "random"}),
-    **{f"evidence-{op}": (["evidence", "evidence.sv", "--op", op], {"partitions", "random"})
+    # set potentials never reach for the dense-table kernels
+    **{f"evidence-{op}": (["evidence", "transport.sv", "--op", op],
+                          {"valuation", "partitions", "random"})
        for op in ("combine", "support", "plausibility", "moebius")},
 }
 

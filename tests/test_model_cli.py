@@ -747,6 +747,38 @@ def test_evidence_honours_cap(op):
     assert code == 1 and out == "" and "more than 1 configurations" in err
 
 
+_SEVEN_BINARY = (
+    "catalog\n" + "".join(f"  var x{i} : 0 1\n" for i in range(7)) + "end\n"
+    "potential left on x0 x1 x2 x3\n  kind bpa\n  focal 1 : (0 0 0 0) (1 1 1 1)\nend\n"
+    "potential right on x3 x4 x5 x6\n  kind bpa\n  focal 1 : (0 0 0 0) (1 1 1 1)\nend\n"
+    "hypothesis h on x0 : (0)\n"
+)
+
+
+@pytest.mark.parametrize("op", ["combine", "support", "plausibility"])
+def test_evidence_union_over_cap_exits_1(op):
+    # the union {x0 .. x6} has 2^7 = 128 configurations
+    code, out, err = _run_stdin(["evidence", "-", "--op", op, "--cap", "100"], _SEVEN_BINARY)
+    assert (code, out) == (1, "")
+    assert err == ("semival: error: domain {x0 x1 x2 x3 x4 x5 x6} "
+                   "has more than 100 configurations\n")
+    code, out, _ = _run_stdin(["evidence", "-", "--op", op, "--cap", "128"], _SEVEN_BINARY)
+    assert code == 0 and out.endswith("status: ok\n")
+
+
+@pytest.mark.parametrize("focal, conflict", [
+    (["focal 0.5 :", "focal 0.5 : (a)"], "0.5"),
+    (["focal 0.25 :", "focal 0.5 : (a)", "focal 0.25 : (a) (b)"], "0.25"),
+    (["focal 0.5 : (a)"], "0"),
+], ids=["half-empty", "quarter-empty", "no-empty"])
+def test_combine_of_one_raw_potential_prints_its_empty_mass(focal, conflict):
+    text = ("catalog\n  var x : a b\nend\npotential p on x\n  kind raw\n"
+            + "".join(f"  {line}\n" for line in focal) + "end\n")
+    code, out, _ = _run_stdin(["evidence", "-", "--op", "combine"], text)
+    assert code == 0
+    assert f"combined: p\nconflict: {conflict}\n" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "models/chain.sv", "--cap", "0"],
     ["solve", "models/chain.sv", "--cap", "-1"],

@@ -699,6 +699,39 @@ def test_hypertree_distribute_rejects_a_foreign_store():
         assert str(exc.value) == "intermediate cache does not match the sequence"
 
 
+def test_hypertree_collect_checks_running_intersection_once(monkeypatch):
+    calls = []
+    check = tc.first_sequence_violation
+    monkeypatch.setattr(tc, "first_sequence_violation",
+                        lambda seq: calls.append(seq) or check(seq))
+    rng = random.Random(20)
+    sr = sv.get_instance("boolean")
+    for _ in range(30):
+        cat, factors = helpers.random_instance(rng, sr, max_vars=5)
+        ops = tc.ValuationOps(cat, sr)
+        seq, tables = helpers.numbered_tables(rng, factors, ops)
+        seq = helpers.repointed(rng, seq)
+        calls.clear()
+        sv.hypertree_collect(seq, tables, ops)
+        assert calls == [seq]
+
+
+def test_running_intersection_errors_keep_their_texts_and_order():
+    cat = sv.VariableCatalog.of({"A": ("0", "1"), "B": ("0", "1"), "C": ("0", "1")})
+    bops = tc.ValuationOps(cat, sv.get_instance("boolean"))
+    # A leaves step 0 for step 2 without passing through its target, step 1
+    bad = sv.EliminationSequence((D("A", "B"), D("C"), D("A")), (1, 2))
+    with pytest.raises(CapabilityError):
+        sv.hypertree_collect(bad, [], tc.ValuationOps(cat, sv.get_instance("arithmetic")))
+    with pytest.raises(DomainError, match="^not a valid hypertree construction sequence$"):
+        sv.hypertree_collect(bad, [], bops)
+    with pytest.raises(DomainError, match="^2 domains but 0 factors$"):
+        sv.hypertree_collect(sv.EliminationSequence((D("A"), D("A")), (1,)), [], bops)
+    tree = sv.LabeledTree(bad.domains, ((0, 1), (1, 2)), ())
+    with pytest.raises(DomainError, match="^labels do not form a join tree$"):
+        sv.collect(tree, [], 0, bops)
+
+
 def test_set_potentials_through_trees():
     rng = random.Random(9)
     for _ in range(15):
