@@ -5,10 +5,10 @@ domain) to positive masses.  Combination intersects cylindrically
 extended focal pairs on the union domain and accumulates their mass
 products; transport restricts each focal set to the shared variables,
 extends it as a cylinder and merges colliding images.  A potential
-flagged ``bpa`` carries total mass one; its conflict (mass of the empty focal set) is tracked explicitly
-rather than silently renormalized, and the combination rule with
-conflict removed and the rest conditioned on consistency is available as
-:func:`dempster_combine`.
+flagged ``bpa`` carries total mass one.  Empty-set mass is kept, not
+silently renormalized: :func:`dempster_combine` removes it and conditions
+the rest on consistency.  A potential's ``conflict`` is the mass K this
+removed from the whole combination, or else its own empty-set mass.
 
 Belief and commonality are evaluated lazily per query set; the full
 inverse transforms are offered only under a frame-size cap because they
@@ -54,15 +54,16 @@ class FocalSet(Frozen):
                 )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "configs", ordered)
+        object.__setattr__(self, "_hash", hash((domain.names, ordered)))
 
-    # no _key(): focal sets are the keys of every mass and belief table
+    # no _key(): focal sets key every mass and belief table, so hash them once
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.configs == other.configs and self.domain == other.domain
 
     def __hash__(self):
-        return hash((self.domain.names, self.configs))
+        return self._hash
 
     @classmethod
     def of(cls, cat: VariableCatalog, domain: Domain,
@@ -114,6 +115,8 @@ class SetPotential(Frozen):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "focal", focal)
         object.__setattr__(self, "kind", kind)
+        if conflict is None:  # not conditioned: the empty set's own mass
+            conflict = math.fsum(mass for fs, mass in focal if not fs.configs)
         object.__setattr__(self, "conflict", conflict)
 
     @cached_property
@@ -146,15 +149,13 @@ def set_potential(
         merged[fs] = merged.get(fs, 0.0) + mass
     cleaned = {fs: m for fs, m in merged.items() if not comparator.is_zero(m)}
     ordered = tuple(sorted(cleaned.items(), key=lambda kv: kv[0].configs))
-    conflict = None
     if kind == BPA:
         total = math.fsum(cleaned.values())
         if not comparator.eq(total, 1.0):
             raise MassError(f"bpa masses sum to {total!r}, not 1")
-        conflict = math.fsum(m for fs, m in ordered if not fs.configs)
     elif kind != RAW:
         raise MassError(f"unknown potential kind {kind!r}")
-    return SetPotential(cat, domain, ordered, kind, conflict)
+    return SetPotential(cat, domain, ordered, kind)
 
 
 def vacuous(cat: VariableCatalog, domain: Domain) -> SetPotential:
@@ -167,7 +168,7 @@ def _restrictor(big: Domain, sub: Domain):
     pos = [big.names.index(name) for name in sub.names]
     if len(pos) > 1:
         return operator.itemgetter(*pos)
-    return lambda values: tuple(values[p] for p in pos)  # itemgetter needs two to make a tuple
+    return operator.itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
 
 
 def _cylinder(cat: VariableCatalog, d: Domain, t: Domain, cap: int | None):
@@ -176,7 +177,15 @@ def _cylinder(cat: VariableCatalog, d: Domain, t: Domain, cap: int | None):
     restrict = _restrictor(t, d)
     for values in dm.config_values(cat, t, cap):
         fibres.setdefault(restrict(values), []).append(values)
-    return lambda configs: frozenset().union(*map(fibres.__getitem__, configs))
+
+    def cylinder(configs):
+        try:
+            return frozenset().union(*map(fibres.__getitem__, configs))
+        except KeyError as exc:  # only a value past its frame misses
+            raise DomainError(
+                f"configuration {exc.args[0]} is out of range for {d}"
+            ) from None
+    return cylinder
 
 
 def combine_potentials(
@@ -188,11 +197,15 @@ def combine_potentials(
     potential); accumulation runs in canonical focal order so results are
     deterministic.
     """
+    return set_potential(m1.catalog, *_meets(m1, m2, cap), RAW)
+
+
+def _meets(m1: SetPotential, m2: SetPotential, cap: int | None):
+    """The union domain and each focal pair's meet there, with its summed mass."""
     if m1.catalog != m2.catalog:
         raise MismatchError("potentials use different catalogs")
-    cat = m1.catalog
     u = m1.domain | m2.domain
-    cyl1, cyl2 = (_cylinder(cat, m.domain, u, cap) for m in (m1, m2))
+    cyl1, cyl2 = (_cylinder(m1.catalog, m.domain, u, cap) for m in (m1, m2))
     right = [(cyl2(fs.configs), mass) for fs, mass in m2.focal]
     out: dict[frozenset, float] = {}
     for fs, mass1 in m1.focal:
@@ -200,8 +213,7 @@ def combine_potentials(
         for s2, mass2 in right:
             meet = s1 & s2
             out[meet] = out.get(meet, 0.0) + mass1 * mass2
-    items = [(FocalSet(u, tuple(meet)), mass) for meet, mass in out.items()]
-    return set_potential(cat, u, items, RAW)
+    return u, [(FocalSet(u, tuple(meet)), mass) for meet, mass in out.items()]
 
 
 def transport_potential(
@@ -227,24 +239,29 @@ def transport_potential(
 def dempster_combine(
     m1: SetPotential,
     m2: SetPotential,
+    *more: SetPotential,
     comparator: Comparator = DEFAULT_COMPARATOR,
     cap: int | None = dm.DEFAULT_CONFIG_CAP,
 ) -> SetPotential:
-    """Combine two bpa's, drop the contradiction and condition on the rest."""
-    if m1.kind != BPA or m2.kind != BPA:
-        raise MassError("dempster_combine expects bpa-flagged potentials")
-    raw = combine_potentials(m1, m2, cap=cap)
-    conflict = raw.empty_mass()
-    if comparator.eq(conflict, 1.0) or conflict > 1.0:
-        raise TotalConflictError(
-            f"operands are fully contradictory (conflict {conflict!r})"
-        )
-    scale = 1.0 - conflict
-    items = [
-        (fs, mass / scale) for fs, mass in raw.focal if fs.configs
-    ]
-    result = set_potential(raw.catalog, raw.domain, items, BPA, comparator=comparator)
-    return SetPotential(result.catalog, result.domain, result.focal, BPA, conflict)
+    """Combine bpa's in argument order, rescaling each step by its non-empty
+    mass and dropping nothing as zero until the end (a tiny meet may carry a
+    later step's consistent mass); the conflict is ``1 - prod(1 - K_step)``."""
+    acc, kept = m1, 1.0
+    for m in (m2, *more):
+        if acc.kind != BPA or m.kind != BPA:
+            raise MassError("dempster_combine expects bpa-flagged potentials")
+        u, items = _meets(acc, m, cap)
+        conflict = sum(mass for fs, mass in items if not fs.configs)
+        if comparator.eq(conflict, 1.0) or conflict > 1.0:
+            raise TotalConflictError(
+                f"operands are fully contradictory (conflict {conflict!r})"
+            )
+        scale = math.fsum(mass for fs, mass in items if fs.configs)
+        items = sorted(((fs, mass / scale) for fs, mass in items if fs.configs),
+                       key=lambda kv: kv[0].configs)
+        acc, kept = SetPotential(acc.catalog, u, tuple(items), BPA), kept * (1.0 - conflict)
+    result = set_potential(acc.catalog, acc.domain, acc.focal, BPA, comparator=comparator)
+    return SetPotential(result.catalog, result.domain, result.focal, BPA, 1.0 - kept)
 
 
 def mass_to_belief(m: SetPotential, s: FocalSet) -> float:

@@ -182,10 +182,9 @@ def _combined_potential(model: Model, comparator: Comparator,
     pots = [p for _, p in model.potentials]
     if not pots:
         raise ParseError("model has no potential stanzas")
-    acc = pots[0]
-    for p in pots[1:]:
-        acc = dempster_combine(acc, p, comparator=comparator, cap=cap)
-    return acc
+    if len(pots) == 1:
+        return pots[0]
+    return dempster_combine(*pots, comparator=comparator, cap=cap)
 
 
 def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str], int]:
@@ -196,9 +195,7 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
         combined = _combined_potential(model, comparator, args.cap)
         names = " * ".join(n for n, _ in model.potentials)
         lines.append(f"combined: {names}")
-        # a lone raw potential records no conflict: its own empty-set mass is it
-        conflict = combined.conflict if combined.conflict is not None else combined.empty_mass()
-        lines.append(f"conflict: {format_value(conflict)}")
+        lines.append(f"conflict: {format_value(combined.conflict)}")
         lines.extend(_potential_lines(model, combined, "focal "))
     elif op in ("support", "plausibility"):
         if not model.hypotheses:
@@ -234,10 +231,9 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
             btable = {fs: bf.mass_to_belief(pot, fs) for fs in subsets}
             qtable = {fs: bf.mass_to_commonality(pot, fs) for fs in subsets}
             for fs in sorted(subsets, key=lambda f: f.configs):
-                lines.append(
-                    f"  b {_fmt_focal(model, fs)}: {format_value(btable[fs])}"
-                    f"  q {_fmt_focal(model, fs)}: {format_value(qtable[fs])}"
-                )
+                text = _fmt_focal(model, fs)
+                lines.append(f"  b {text}: {format_value(btable[fs])}"
+                             f"  q {text}: {format_value(qtable[fs])}")
             back_b = bf.belief_to_mass(model.catalog, pot.domain, btable,
                                        cap=cap, comparator=comparator)
             back_q = bf.commonality_to_mass(model.catalog, pot.domain, qtable,

@@ -6,10 +6,12 @@ so they can referee the dense-table implementations.
 """
 
 import itertools
+from fractions import Fraction
 
 from semival import domains as dm
 from semival import treecomp
-from semival.belief import RAW, FocalSet, set_potential
+from semival.belief import RAW, FocalSet, dempster_combine, set_potential
+from semival.compare import DEFAULT_COMPARATOR
 from semival.domains import EMPTY_DOMAIN, Domain
 from semival.errors import DomainError, MismatchError
 from semival.treecomp import join_of
@@ -448,6 +450,46 @@ def index_map_transport_potential(m, t, cap=dm.DEFAULT_CONFIG_CAP):
         out[image] = out.get(image, 0.0) + mass
     items = [(_from_indices(t, configs, idx), mass) for idx, mass in out.items()]
     return set_potential(cat, t, items, RAW)
+
+
+# --- Dempster's rule as a fold ------------------------------------------------
+# The n-ary rule as the CLI first applied it: a left fold of the binary rule,
+# conditioning after every step; and the rule as defined: the raw combination
+# of every bpa in exact rationals, conditioned once.  Conditioning commutes
+# with combination, so the package's rule must give the masses of both, and
+# its conflict K must satisfy 1 - K = prod(1 - K_step) over the fold's steps.
+
+def sequential_dempster_combine(pots, comparator=DEFAULT_COMPARATOR,
+                                cap=dm.DEFAULT_CONFIG_CAP):
+    """The fold's result and the conflict that each of its steps removed."""
+    acc, steps = pots[0], []
+    for p in pots[1:]:
+        acc = dempster_combine(acc, p, comparator=comparator, cap=cap)
+        steps.append(acc.conflict)
+    return acc, steps
+
+
+def exact_dempster_combine(pots):
+    """The conditioned masses ({configuration frozenset: Fraction}, empty when
+    K is 1) and the share K of the raw mass on the empty set, over the
+    operands' union domain."""
+    cat, u = pots[0].catalog, pots[0].domain
+    for p in pots[1:]:
+        u = u | p.domain
+    union = list(itertools.product(*(range(cat.size(n)) for n in u.names)))
+    raw = {frozenset(union): Fraction(1)}
+    for p in pots:
+        pos = [u.names.index(n) for n in p.domain.names]
+        step = {}
+        for fs, mass in p.focal:
+            keep = set(fs.configs)
+            cyl = frozenset(c for c in union if tuple(c[i] for i in pos) in keep)
+            for s, m in raw.items():
+                step[s & cyl] = step.get(s & cyl, 0) + m * Fraction(mass)
+        raw = step
+    k = raw.pop(frozenset(), Fraction(0))
+    kept = sum(raw.values())  # not 1 - k: float bpa's sum to 1 only roughly
+    return {s: m / kept for s, m in raw.items()}, k / (k + kept)
 
 
 # --- law checkers as first written -------------------------------------------

@@ -289,14 +289,16 @@ def test_criterion_6_belief_functions():
             ba_ = sv.dempster_combine(b, a)
             left = sv.dempster_combine(ab_, c)
             right = sv.dempster_combine(a, sv.dempster_combine(b, c))
+            n_ary = sv.dempster_combine(a, b, c)
         except TotalConflictError:
             continue
         keys = set(ab_.by_set) | set(ba_.by_set)
         if any(abs(ab_.mass(k) - ba_.mass(k)) > 1e-9 for k in keys):
             problems.append("commutativity")
-        keys = set(left.by_set) | set(right.by_set)
-        if any(abs(left.mass(k) - right.mass(k)) > 1e-9 for k in keys):
-            problems.append("associativity")
+        for other in (right, n_ary):
+            keys = set(left.by_set) | set(other.by_set)
+            if any(abs(left.mass(k) - other.mass(k)) > 1e-9 for k in keys):
+                problems.append("associativity")
 
     cat3 = sv.VariableCatalog.of({"w": ("p", "q", "r")})
     W = cat3.domain("w")

@@ -7,6 +7,7 @@ import pytest
 import semival as sv
 from semival.belief import all_focal_sets
 from semival.errors import CapacityError, DomainError, MassError, TotalConflictError
+from semival.semiring import format_value
 
 import helpers
 import oracles
@@ -182,6 +183,19 @@ def test_combine_and_transport_honour_cap():
     assert sv.transport_potential(m1, right, cap=128).focal == sv.vacuous(cat, right).focal
 
 
+def test_out_of_range_value_is_a_domain_error():
+    """A value past its variable's frame is named, with its configuration,
+    where the cylinder lookup misses: no bare ``KeyError``."""
+    cat = sv.VariableCatalog.of({"u": ("a", "b"), "v": ("a", "b")})
+    U, V, UV = cat.domain("u"), cat.domain("v"), cat.domain("u", "v")
+    bad = sv.set_potential(cat, U, [(sv.FocalSet(U, ((0,), (7,))), 1.0)], "bpa")
+    for call in (lambda: sv.combine_potentials(bad, sv.vacuous(cat, V)),
+                 lambda: sv.combine_potentials(sv.vacuous(cat, UV), bad),
+                 lambda: sv.transport_potential(bad, UV)):
+        with pytest.raises(DomainError, match=r"configuration \(7,\) is out of range"):
+            call()
+
+
 def test_transport_examples():
     cat = sv.VariableCatalog.of({"x": ("0", "1"), "y": ("0", "1")})
     XY, X = cat.domain("x", "y"), cat.domain("x")
@@ -231,12 +245,69 @@ def test_dempster_commutative_associative():
             ba_ = sv.dempster_combine(b, a)
             abc1 = sv.dempster_combine(ab_, c)
             abc2 = sv.dempster_combine(a, sv.dempster_combine(b, c))
+            abc3 = sv.dempster_combine(a, b, c)
         except TotalConflictError:
             continue
         keys = set(ab_.by_set) | set(ba_.by_set)
         assert all(abs(ab_.mass(k) - ba_.mass(k)) < 1e-9 for k in keys)
-        keys = set(abc1.by_set) | set(abc2.by_set)
-        assert all(abs(abc1.mass(k) - abc2.mass(k)) < 1e-9 for k in keys)
+        for abc in (abc2, abc3):
+            keys = set(abc1.by_set) | set(abc.by_set)
+            assert all(abs(abc1.mass(k) - abc.mass(k)) < 1e-9 for k in keys)
+
+
+def _near_certain_bpa(rng, cat, domain, eps):
+    """Mass ``1 - eps`` on one random configuration, ``eps`` on the frame."""
+    full = sv.FocalSet.full(cat, domain)
+    fs = sv.FocalSet(domain, (rng.choice(full.configs),))
+    return sv.set_potential(cat, domain, [(fs, 1.0 - eps), (full, eps)], "bpa")
+
+
+def test_one_conditioning_matches_the_sequential_fold():
+    """The n-ary rule gives the raw product conditioned once in exact
+    rationals, and the binary rule folded left (``oracles``): a conflict K
+    with ``1 - K`` the product of the fold's ``1 - K_step``, and total
+    conflict raised on both sides alike, only where the exact K is within
+    the comparator of one.  A quarter of the draws are near-certain bpa's
+    (``eps`` on the frame), whose meets shrink below the comparator's zero
+    before a later step conditions them back up: there the fold, which drops
+    them at every step, loses mass.  Elsewhere it prints alike."""
+    rng = random.Random(22)
+    cmp = sv.DEFAULT_COMPARATOR
+    conditioned = total = deep = lossy = 0
+    for draw in range(800):
+        cat = helpers.random_catalog(rng, max_vars=2, max_frame=3)
+        names = [v.name for v in cat.variables]
+        eps = rng.choice((1e-3, 1e-4)) if draw % 4 == 3 else None
+        pots = []
+        for _ in range(rng.randint(2, 5)):
+            d = sv.Domain(tuple(rng.sample(names, rng.randint(1, len(names)))))
+            pots.append(helpers.random_bpa(rng, cat, d) if eps is None
+                        else _near_certain_bpa(rng, cat, d, eps))
+        exact, k = oracles.exact_dempster_combine(pots)
+        try:
+            want, steps = oracles.sequential_dempster_combine(pots)
+        except TotalConflictError:
+            with pytest.raises(TotalConflictError):
+                sv.dempster_combine(*pots)
+            assert cmp.eq(float(k), 1.0)
+            total += 1
+            continue
+        got = sv.dempster_combine(*pots)
+        masses = {frozenset(fs.configs): m for fs, m in got.focal}
+        assert masses.keys() <= exact.keys()
+        # what the result dropped is the comparator's zero, up to its own rounding
+        assert all(cmp.eq(masses[s], float(m)) if s in masses else m < 1.001 * cmp.abs
+                   for s, m in exact.items())
+        assert cmp.eq(got.conflict, float(k))
+        assert cmp.eq(got.conflict, 1.0 - math.prod(1.0 - k for k in steps))
+        if eps is None:
+            assert ([(fs, format_value(m)) for fs, m in got.focal]
+                    == [(fs, format_value(m)) for fs, m in want.focal])
+        keys = set(got.by_set) | set(want.by_set)
+        lossy += not all(cmp.eq(got.mass(fs), want.mass(fs)) for fs in keys)
+        conditioned += any(k > 0 for k in steps[:-1])
+        deep += 1.0 - got.conflict < 1e-6
+    assert conditioned > 100 and total > 10 and deep > 20 and lossy > 0
 
 
 def test_belief_commonality_examples(ab):

@@ -779,6 +779,59 @@ def test_combine_of_one_raw_potential_prints_its_empty_mass(focal, conflict):
     assert f"combined: p\nconflict: {conflict}\n" in out
 
 
+def _bpas_on_u(*focals):
+    """One ``kind bpa`` potential on a binary ``u`` per list of focal lines."""
+    return "catalog\n  var u : a b\nend\n" + "".join(
+        f"potential p{i} on u\n  kind bpa\n" + "".join(f"  {f}\n" for f in lines) + "end\n"
+        for i, lines in enumerate(focals))
+
+
+def test_combine_prints_the_conflict_of_the_whole_combination():
+    # raw, the three put 0.375 on the empty set; the binary fold's last step
+    # alone removes 1/6 of what the first step left
+    text = _bpas_on_u(["focal 0.5 : (a)", "focal 0.5 : (a) (b)"],
+                      ["focal 0.5 : (b)", "focal 0.5 : (a) (b)"],
+                      ["focal 0.5 : (a)", "focal 0.5 : (a) (b)"])
+    code, out, _ = _run_stdin(["evidence", "-", "--op", "combine"], text)
+    assert code == 0
+    assert out.split("\n")[3:] == [
+        "combined: p0 * p1 * p2", "conflict: 0.375", "focal {(a)}: 0.6",
+        "focal {(a) (b)}: 0.2", "focal {(b)}: 0.2", "status: ok", ""]
+
+
+@pytest.mark.parametrize("n, combined, support", [
+    (4, ["conflict: 0.9999995", "focal {(a)}: 0.4999999375",
+         "focal {(a) (b)}: 1.25000015625e-07", "focal {(b)}: 0.4999999375"],
+     "qsp 0.4999999375 sp 0.4999999375"),
+    (6, ["conflict: 0.99999999975", "focal {(a)}: 0.499999999969",
+         "focal {(a) (b)}: 6.25000000039e-11", "focal {(b)}: 0.499999999969"],
+     "qsp 0.499999999969 sp 0.499999999969"),
+])
+def test_combine_of_near_certain_alternating_bpas(n, combined, support):
+    # each step conflicts at about 0.999: the raw product's masses fall below
+    # the comparator's zero, and a step rescaled by 1 - K rather than by its
+    # exact non-empty mass grows the float drift of the total by 1/(1 - K);
+    # the figures are the exact rational ones, rounded
+    near = [["focal 0.9995 : (a)", "focal 0.0005 : (a) (b)"],
+            ["focal 0.9995 : (b)", "focal 0.0005 : (a) (b)"]]
+    text = _bpas_on_u(*(near[i % 2] for i in range(n))) + "hypothesis h on u : (a)\n"
+    code, out, _ = _run_stdin(["evidence", "-", "--op", "combine"], text)
+    assert code == 0
+    assert out.split("\n")[4:-2] == combined
+    code, out, _ = _run_stdin(["evidence", "-", "--op", "support"], text)
+    assert code == 0
+    assert f"hypothesis h {{(a)}}: {support} (normalized)\n" in out
+
+
+def test_combine_of_an_exactly_conflicting_triple_exits_1():
+    text = _bpas_on_u(["focal 1 : (a)"], ["focal 1 : (b)"], ["focal 1 : (a)"])
+    for op in ("combine", "support"):
+        code, out, err = _run_stdin(["evidence", "-", "--op", op],
+                                    text + "hypothesis h on u : (a)\n")
+        assert (code, out) == (1, "")
+        assert err == "semival: error: operands are fully contradictory (conflict 1.0)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "models/chain.sv", "--cap", "0"],
     ["solve", "models/chain.sv", "--cap", "-1"],
