@@ -13,15 +13,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "compare": ("Comparator", "DEFAULT_COMPARATOR"),
     "domains": (
-        "Configuration",
         "DEFAULT_CONFIG_CAP",
         "Domain",
         "EMPTY_DOMAIN",
         "Variable",
         "VariableCatalog",
         "cond_indep_subsets",
-        "enumerate_configs",
-        "restrict",
+        "restrictor",
     ),
     "semiring": (
         "Semiring",

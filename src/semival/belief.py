@@ -18,7 +18,6 @@ touch all ``2^k`` subsets.
 from __future__ import annotations
 
 import math
-import operator
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -33,6 +32,7 @@ from .errors import (
     MismatchError,
     TotalConflictError,
 )
+from .semiring import format_value
 
 #: Frame-size cap for the explicit belief/commonality tables (2^k entries).
 DEFAULT_SUBSET_CAP = 16
@@ -163,18 +163,10 @@ def vacuous(cat: VariableCatalog, domain: Domain) -> SetPotential:
     return set_potential(cat, domain, [(FocalSet.full(cat, domain), 1.0)], BPA)
 
 
-def _restrictor(big: Domain, sub: Domain):
-    """The map of a configuration of ``big`` to its restriction to ``sub <= big``."""
-    pos = [big.names.index(name) for name in sub.names]
-    if len(pos) > 1:
-        return operator.itemgetter(*pos)
-    return operator.itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
-
-
 def _cylinder(cat: VariableCatalog, d: Domain, t: Domain, cap: int | None):
     """Sets of ``d``'s configurations to their cylinders over ``t`` (``d <= t``)."""
     fibres: dict[tuple, list] = {}
-    restrict = _restrictor(t, d)
+    restrict = dm.restrictor(t, d)
     for values in dm.config_values(cat, t, cap):
         fibres.setdefault(restrict(values), []).append(values)
 
@@ -226,7 +218,7 @@ def transport_potential(
         return m
     cat.config_count(m.domain | t, cap=cap)
     shared = m.domain & t
-    restrict = _restrictor(m.domain, shared)
+    restrict = dm.restrictor(m.domain, shared)
     out: dict[frozenset, float] = {}
     for fs, mass in m.focal:
         image = frozenset(map(restrict, fs.configs))
@@ -254,7 +246,7 @@ def dempster_combine(
         conflict = sum(mass for fs, mass in items if not fs.configs)
         if comparator.eq(conflict, 1.0) or conflict > 1.0:
             raise TotalConflictError(
-                f"operands are fully contradictory (conflict {conflict!r})"
+                f"operands are fully contradictory (conflict {format_value(conflict)})"
             )
         scale = math.fsum(mass for fs, mass in items if fs.configs)
         items = sorted(((fs, mass / scale) for fs, mass in items if fs.configs),

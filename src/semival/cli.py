@@ -65,7 +65,7 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
         lines.insert(0, f"semiring: {sr.name}")
 
         def answer_lines(q: Domain, answer) -> list[str]:
-            body = " ".join(map(format_value, answer.values))
+            body = " ".join(map(format_value, answer.table))
             return [f"result {q}: {body}"]
 
         if not sr.idempotent_add:

@@ -4,8 +4,8 @@ A :class:`VariableCatalog` declares named variables, each with a finite,
 nonempty frame of values.  A :class:`Domain` is a subset of the catalog's
 variables, always stored sorted in the global (lexicographic) name order,
 so that table layouts and printed output are deterministic.  A
-:class:`Configuration` assigns one frame value (by index) to every
-variable of a domain.
+configuration of a domain is a tuple of value indices, one per variable
+in sorted order.
 
 Configurations of a domain are enumerated in row-major order: the last
 variable in sorted order varies fastest.  This order coincides with
@@ -19,6 +19,7 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
@@ -202,61 +203,6 @@ class VariableCatalog(Frozen):
         return n
 
 
-class Configuration(Frozen):
-    """One frame-value index per variable of a domain."""
-
-    __slots__ = ("domain", "values")
-
-    def __init__(self, domain: Domain, values: tuple[int, ...] = ()):
-        if len(values) != len(domain):
-            raise DomainError(
-                f"configuration has {len(values)} values "
-                f"for domain of size {len(domain)}"
-            )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", values)
-
-    def _key(self) -> tuple:
-        return (self.domain, self.values)
-
-
-def restrict(c: Configuration, s: Domain) -> Configuration:
-    """Project a configuration onto a subdomain (positional copy)."""
-    if not s <= c.domain:
-        raise DomainError(f"{s} is not a subset of {c.domain}")
-    if s == c.domain:
-        return c
-    pos = {n: i for i, n in enumerate(c.domain.names)}
-    return Configuration(s, tuple(c.values[pos[n]] for n in s.names))
-
-
-def strides(cat: VariableCatalog, d: Domain) -> tuple[int, ...]:
-    """Row-major strides: the last variable in sorted order varies fastest."""
-    out = [1] * len(d)
-    for i in range(len(d) - 2, -1, -1):
-        out[i] = out[i + 1] * cat.size(d.names[i + 1])
-    return tuple(out)
-
-
-def config_index(cat: VariableCatalog, c: Configuration) -> int:
-    st = strides(cat, c.domain)
-    for name, v in zip(c.domain.names, c.values):
-        if not 0 <= v < cat.size(name):
-            raise DomainError(f"value index {v} out of range for {name!r}")
-    return sum(v * s for v, s in zip(c.values, st))
-
-
-def config_from_index(cat: VariableCatalog, d: Domain, i: int) -> Configuration:
-    count = cat.config_count(d, cap=None)
-    if not 0 <= i < count:
-        raise DomainError(f"index {i} out of range for domain {d}")
-    values = []
-    for s in strides(cat, d):
-        values.append(i // s)
-        i %= s
-    return Configuration(d, tuple(values))
-
-
 def config_values(
     cat: VariableCatalog, d: Domain, cap: int | None = DEFAULT_CONFIG_CAP
 ) -> list[tuple[int, ...]]:
@@ -269,11 +215,12 @@ def config_values(
     return list(itertools.product(*(range(cat.size(name)) for name in d.names)))
 
 
-def enumerate_configs(
-    cat: VariableCatalog, d: Domain, cap: int | None = DEFAULT_CONFIG_CAP
-) -> list[Configuration]:
-    """All configurations of ``d`` in row-major index order."""
-    return [Configuration(d, values) for values in config_values(cat, d, cap)]
+def restrictor(big: Domain, sub: Domain):
+    """The map of a configuration of ``big`` to its restriction to ``sub <= big``."""
+    pos = [big.names.index(name) for name in sub.names]
+    if len(pos) > 1:
+        return operator.itemgetter(*pos)
+    return operator.itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
 
 
 def _repeat_blocks(seq: tuple, length: int, times: int) -> tuple:

@@ -465,7 +465,7 @@ def render_model(model: Model) -> str:
 
     for name, val in model.factors:
         out.append(head("factor", name, val.domain))
-        out.append("  table " + " ".join(map(format_value, val.values)))
+        out.append("  table " + " ".join(map(format_value, val.table)))
         out.append("end")
     for name, pot in model.potentials:
         out.append(head("potential", name, pot.domain))

@@ -356,7 +356,7 @@ class ValuationOps:
 
     def deviation(self, a, b) -> float:
         dev = 0.0
-        for x, y in zip(a.values, b.values):
+        for x, y in zip(a.table, b.table):
             if not self.semiring.eq(x, y):
                 dev = max(dev, abs(float(x) - float(y)))
         return dev

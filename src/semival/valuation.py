@@ -67,11 +67,6 @@ class Valuation(Frozen):
     def __mul__(self, other: "Valuation") -> "Valuation":
         return combine(self, other)
 
-    @property
-    def values(self) -> tuple:
-        """The cells in table order: the table itself."""
-        return self.table
-
 
 def _check_operands(a: Valuation, b: Valuation):
     if a.catalog != b.catalog:
@@ -87,7 +82,7 @@ def valuations_equal(a: Valuation, b: Valuation) -> bool:
     if a.domain != b.domain:
         return False
     eq = a.semiring.eq
-    return all(eq(x, y) for x, y in zip(a.values, b.values))
+    return all(eq(x, y) for x, y in zip(a.table, b.table))
 
 
 def _constant(cat: VariableCatalog, sr: Semiring, d: Domain, value,
@@ -223,18 +218,18 @@ def is_null(a: Valuation) -> bool:
     if a.semiring.zero is None:
         raise CapabilityError(f"semiring {a.semiring.name} has no zero element")
     eq, zero = a.semiring.eq, a.semiring.zero
-    return all(eq(v, zero) for v in a.values)
+    return all(eq(v, zero) for v in a.table)
 
 
 def normalize(a: Valuation) -> Valuation:
     """Scale an arithmetic table to total mass one."""
     if a.semiring.name != "arithmetic":
         raise CapabilityError("normalize is defined for the arithmetic semiring only")
-    total = math.fsum(a.values)
+    total = math.fsum(a.table)
     if a.semiring.eq(total, 0.0):
         raise MassError("cannot normalize a zero-mass table")
     return Valuation(a.catalog, a.semiring, a.domain,
-                     tuple(v / total for v in a.values))
+                     tuple(v / total for v in a.table))
 
 
 def invert_regular(p: Valuation, t: Domain) -> Valuation:
@@ -247,7 +242,7 @@ def invert_regular(p: Valuation, t: Domain) -> Valuation:
         raise CapabilityError("regular inversion is defined for the arithmetic semiring only")
     marg = project(p, t)
     eq = p.semiring.eq
-    table = tuple(0.0 if eq(v, 0.0) else 1.0 / v for v in marg.values)
+    table = tuple(0.0 if eq(v, 0.0) else 1.0 / v for v in marg.table)
     return Valuation(p.catalog, p.semiring, t, table)
 
 

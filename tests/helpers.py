@@ -96,7 +96,7 @@ def random_mass_function(rng: random.Random, cat, domain, allow_empty=True):
 
 def exact_equal(a, b) -> bool:
     """Value-level exact table equality (2 == 2.0 counts as equal)."""
-    return a.domain == b.domain and all(x == y for x, y in zip(a.values, b.values))
+    return a.domain == b.domain and all(x == y for x, y in zip(a.table, b.table))
 
 
 def potentials_equal(a, b) -> bool:

@@ -25,7 +25,7 @@ def configs_of(cat, domain):
 def as_dict(val):
     """Valuation -> {(name: value index ...) assignment dict tuple: value}."""
     frames = [range(val.catalog.size(n)) for n in val.domain.names]
-    return dict(zip(itertools.product(*frames), val.values))
+    return dict(zip(itertools.product(*frames), val.table))
 
 
 def dict_combine(cat, sr, da, ta, db, tb):
@@ -223,20 +223,20 @@ def cellwise_combine(a, b):
     u = a.domain | b.domain
     ra = odometer_index_map(a.catalog, u, a.domain)
     rb = odometer_index_map(a.catalog, u, b.domain)
-    mul, va, vb = a.semiring.mul, a.values, b.values
+    mul, va, vb = a.semiring.mul, a.table, b.table
     return u, tuple(mul(va[i], vb[j]) for i, j in zip(ra, rb))
 
 
 def cellwise_project(a, t):
     add = a.semiring.add
     out = [None] * a.catalog.config_count(t, cap=None)
-    for i, v in zip(odometer_index_map(a.catalog, a.domain, t), a.values):
+    for i, v in zip(odometer_index_map(a.catalog, a.domain, t), a.table):
         out[i] = v if out[i] is None else add(out[i], v)
     return tuple(out)
 
 
 def cellwise_extend(a, t):
-    values = a.values
+    values = a.table
     return tuple(values[i] for i in odometer_index_map(a.catalog, t, a.domain))
 
 
@@ -249,7 +249,7 @@ def odometer_enumerate_configs(cat, d, cap=dm.DEFAULT_CONFIG_CAP):
     out = []
     digits = [0] * len(d)
     for _ in range(n):
-        out.append(dm.Configuration(d, tuple(digits)))
+        out.append(tuple(digits))
         for p in range(len(d) - 1, -1, -1):
             digits[p] += 1
             if digits[p] < sizes[p]:

@@ -100,14 +100,17 @@ def test_combine_against_brute_force():
         got = sv.combine_potentials(m1, m2)
 
         u = d1 | d2
-        union_configs = [c for c in sv.enumerate_configs(cat, u)]
+        union_configs = [
+            (c, dict(zip(u.names, c)))
+            for c in itertools.product(*(range(cat.size(n)) for n in u.names))
+        ]
         expect: dict = {}
         for f1, mass1 in m1.focal:
             for f2, mass2 in m2.focal:
                 cyl = frozenset(
-                    c.values for c in union_configs
-                    if sv.restrict(c, d1).values in f1.config_set
-                    and sv.restrict(c, d2).values in f2.config_set
+                    c for c, value in union_configs
+                    if tuple(map(value.get, d1.names)) in f1.config_set
+                    and tuple(map(value.get, d2.names)) in f2.config_set
                 )
                 expect[cyl] = expect.get(cyl, 0.0) + mass1 * mass2
         for fset, mass in expect.items():

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import semival as sv
-from semival.domains import (
-    Configuration,
-    config_from_index,
-    config_index,
-    config_values,
-    restriction_index_map,
-)
+from semival.domains import config_values, restriction_index_map, restrictor
 from semival.errors import CapacityError, DomainError
 
 import helpers
@@ -113,12 +107,9 @@ def test_separoid_conditions_on_random_subsets():
 
 def test_enumerate_configs_row_major():
     cat = sv.VariableCatalog.of({"A": ("0", "1"), "B": ("0", "1", "2")})
-    single = sv.enumerate_configs(cat, cat.domain("A"))
-    assert [c.values for c in single] == [(0,), (1,)]
-    empty = sv.enumerate_configs(cat, sv.EMPTY_DOMAIN)
-    assert [c.values for c in empty] == [()]
-    both = sv.enumerate_configs(cat, cat.domain("A", "B"))
-    assert [c.values for c in both] == [
+    assert config_values(cat, cat.domain("A")) == [(0,), (1,)]
+    assert config_values(cat, sv.EMPTY_DOMAIN) == [()]
+    assert config_values(cat, cat.domain("A", "B")) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)
     ]
 
@@ -140,12 +131,8 @@ def test_config_values_match_the_odometer():
             d = sv.Domain(d.names + ("zz",))
         cap = rng.choice([None, sv.DEFAULT_CONFIG_CAP, rng.randint(1, 80)])
         want = _raised(lambda: oracles.odometer_enumerate_configs(cat, d, cap))
-        assert _raised(lambda: sv.enumerate_configs(cat, d, cap)) == want
-        if isinstance(want, list):
-            assert config_values(cat, d, cap) == [c.values for c in want]
-            cases += 1
-        else:
-            assert _raised(lambda: config_values(cat, d, cap)) == want
+        assert _raised(lambda: config_values(cat, d, cap)) == want
+        cases += isinstance(want, list)
     assert cases > 500
     cat = sv.VariableCatalog.of({"x": ("0", "1")})
     assert config_values(cat, sv.EMPTY_DOMAIN, cap=1) == [()]
@@ -156,22 +143,22 @@ def test_config_values_match_the_odometer():
 def test_enumeration_cap():
     cat = sv.VariableCatalog.of({f"v{i}": ("0", "1") for i in range(30)})
     with pytest.raises(CapacityError):
-        sv.enumerate_configs(cat, cat.full_domain)
+        config_values(cat, cat.full_domain)
     with pytest.raises(CapacityError):
         cat.config_count(cat.full_domain, cap=2**20)
     assert cat.config_count(cat.full_domain, cap=None) == 2**30
 
 
 def test_restrict_examples():
-    d = sv.Domain.of("x", "y")
-    c = Configuration(d, (1, 0))
-    assert sv.restrict(c, sv.Domain.of("x")).values == (1,)
-    assert sv.restrict(c, d) is c
-    c3 = Configuration(sv.Domain.of("a", "b", "c"), (0, 2, 1))
-    r = sv.restrict(c3, sv.Domain.of("a", "c"))
-    assert r.domain.names == ("a", "c") and r.values == (0, 1)
-    with pytest.raises(DomainError):
-        sv.restrict(c, sv.Domain.of("z"))
+    big = sv.Domain.of("a", "b", "c")
+    c = (0, 2, 1)
+    for sub, want in [((), ()),                        # no position
+                      (("a",), (0,)), (("b",), (2,)),  # one position
+                      (("c",), (1,)),
+                      (("a", "c"), (0, 1)),            # several
+                      (("a", "b", "c"), c)]:           # all
+        got = restrictor(big, sv.Domain(sub))(c)
+        assert type(got) is tuple and got == want
 
 
 @given(st.data())
@@ -179,29 +166,14 @@ def test_restrict_composes(data):
     names = data.draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6,
                                unique=True))
     dom = sv.Domain(tuple(names))
-    values = tuple(data.draw(st.integers(0, 3)) for _ in dom.names)
-    c = Configuration(dom, values)
+    c = tuple(data.draw(st.integers(0, 3)) for _ in dom.names)
     t_names = data.draw(st.sets(st.sampled_from(dom.names)))
     t = sv.Domain(tuple(t_names))
     s_names = data.draw(st.sets(st.sampled_from(sorted(t_names)))) if t_names else set()
     s = sv.Domain(tuple(s_names))
-    assert sv.restrict(sv.restrict(c, t), s) == sv.restrict(c, s)
-
-
-def test_index_round_trip():
-    rng = random.Random(1)
-    for _ in range(50):
-        nvars = rng.randint(0, 4)
-        cat = sv.VariableCatalog.of(
-            {f"v{i}": tuple(str(j) for j in range(rng.randint(1, 4)))
-             for i in range(nvars)}
-        )
-        d = cat.full_domain
-        n = cat.config_count(d)
-        for i in range(n):
-            assert config_index(cat, config_from_index(cat, d, i)) == i
-        configs = sv.enumerate_configs(cat, d)
-        assert [config_index(cat, c) for c in configs] == list(range(n))
+    by_name = dict(zip(dom.names, c))
+    assert restrictor(dom, s)(c) == tuple(by_name[n] for n in s.names)
+    assert restrictor(t, s)(restrictor(dom, t)(c)) == restrictor(dom, s)(c)
 
 
 def test_restriction_index_map_matches_restrict():
@@ -215,5 +187,6 @@ def test_restriction_index_map_matches_restrict():
         names = list(big.names)
         sub = sv.Domain(tuple(rng.sample(names, rng.randint(0, len(names)))))
         rmap = restriction_index_map(cat, big, sub)
-        for i, c in enumerate(sv.enumerate_configs(cat, big)):
-            assert rmap[i] == config_index(cat, sv.restrict(c, sub))
+        restrict, sub_configs = restrictor(big, sub), config_values(cat, sub)
+        assert list(rmap) == [sub_configs.index(restrict(c))
+                              for c in config_values(cat, big)]

@@ -829,7 +829,20 @@ def test_combine_of_an_exactly_conflicting_triple_exits_1():
         code, out, err = _run_stdin(["evidence", "-", "--op", op],
                                     text + "hypothesis h on u : (a)\n")
         assert (code, out) == (1, "")
-        assert err == "semival: error: operands are fully contradictory (conflict 1.0)\n"
+        assert err == "semival: error: operands are fully contradictory (conflict 1)\n"
+
+
+def test_total_conflict_prints_k_as_a_report_value():
+    # the last step removes 0.9/0.94 + 0.04/0.94, which rounds to 1 - 2^-53
+    text = ("catalog\n  var u : a b c\nend\n"
+            "potential p1 on u\n  kind bpa\n  focal 0.9 : (b)\n"
+            "  focal 0.1 : (a) (c)\nend\n"
+            "potential p2 on u\n  kind bpa\n  focal 0.6 : (b)\n"
+            "  focal 0.4 : (b) (c)\nend\n"
+            "potential p3 on u\n  kind bpa\n  focal 1 : (a)\nend\n")
+    code, out, err = _run_stdin(["evidence", "-", "--op", "combine"], text)
+    assert (code, out) == (1, "")
+    assert err == "semival: error: operands are fully contradictory (conflict 1)\n"
 
 
 @pytest.mark.parametrize("argv", [

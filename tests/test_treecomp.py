@@ -625,7 +625,7 @@ def test_hypertree_capability_errors():
 
 
 def _bits(v):
-    return v.domain, tuple(map(repr, v.values))
+    return v.domain, tuple(map(repr, v.table))
 
 
 def test_hypertree_schemes_match_the_sequential_loops():
@@ -815,10 +815,10 @@ def _same_bits(got, want) -> bool:
     """Same domain, layout and cells, each cell of the same type and, for
     floats, the same ``float.hex``."""
     return (got.domain == want.domain and type(got.table) is type(want.table)
-            and len(got.values) == len(want.values)
+            and len(got.table) == len(want.table)
             and all(type(x) is type(y) and (x.hex() == y.hex() if type(x) is float
                                             else x == y)
-                    for x, y in zip(got.values, want.values)))
+                    for x, y in zip(got.table, want.table)))
 
 
 def _pinned_instance(rng, case, make):

@@ -30,9 +30,6 @@ VALUES = {
     "VariableCatalog": (lambda: sv.VariableCatalog.of({"x": "01", "y": "012"}),
                         lambda: sv.VariableCatalog.of({"y": "012", "x": "01"}),
                         sv.VariableCatalog.of({"x": "01"})),
-    "Configuration": (lambda: sv.Configuration(DXY, (1, 2)),
-                      lambda: sv.Configuration(domain=sv.Domain.of("y", "x"), values=(1, 2)),
-                      sv.Configuration(DXY, (0, 2))),
     "LabeledTree": (lambda: sv.LabeledTree((DX, DXY), ((0, 1),), (1,)),
                     lambda: sv.LabeledTree((DX, DXY), ((1, 0),), (1,)),
                     sv.LabeledTree((DX, DXY), ((0, 1),), (0,))),
@@ -57,7 +54,7 @@ VALUES = {
 # name -> (an instance, one of its fields)
 FROZEN = {
     **{name: (make(), field) for (name, (make, _, _)), field in zip(VALUES.items(), (
-        "rel", "names", "frame", "variables", "values", "edges", "b", "configs",
+        "rel", "names", "frame", "variables", "edges", "b", "configs",
         "elements", "blocks", "witness", "laws"))},
     "Semiring": (sv.get_instance("boolean"), "add"),
     "Valuation": (sv.Valuation(CAT, sv.get_instance("boolean"), DX, (1, 0)), "table"),
