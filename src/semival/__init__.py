@@ -32,10 +32,7 @@ _EXPORTS = {
         "Valuation",
         "check_valuation_axioms",
         "combine",
-        "combine_all",
-        "invert_regular",
         "is_null",
-        "normalize",
         "null",
         "project",
         "transport",

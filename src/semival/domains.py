@@ -185,10 +185,6 @@ class VariableCatalog(Frozen):
                 raise DomainError(f"unknown variable {n!r}")
         return d
 
-    @property
-    def full_domain(self) -> Domain:
-        return Domain(tuple(v.name for v in self.variables))
-
     def config_count(self, d: Domain, cap: int | None = DEFAULT_CONFIG_CAP) -> int:
         sizes = self._sizes
         n = 1

@@ -183,8 +183,7 @@ def sequence_to_join_tree(seq: EliminationSequence) -> LabeledTree:
     """The sequence's tree: edges ``(i, b(i))``, node ``i`` holding factor ``i``."""
     if not verify_hypertree_sequence(seq):
         raise DomainError("not a valid hypertree construction sequence")
-    edges = tuple((i, j) for i, j in enumerate(seq.b))
-    return LabeledTree(seq.domains, edges, tuple(range(len(seq))))
+    return LabeledTree(seq.domains, tuple(enumerate(seq.b)), tuple(range(len(seq))))
 
 
 def build_covering_join_tree(
@@ -544,8 +543,7 @@ def hypertree_collect(seq: EliminationSequence, factors: Sequence, ops):
     """
     if not ops.supports_transport:
         raise CapabilityError(
-            "hypertree elimination transports between incomparable domains; "
-            "the algebra does not support transport"
+            "hypertree elimination needs an algebra with transport (idempotent addition)"
         )
     tree = sequence_to_join_tree(seq)
     if len(factors) != len(seq):
@@ -567,9 +565,11 @@ def hypertree_distribute(seq: EliminationSequence, store: MessageStore, ops):
             "hypertree distribute needs an idempotent algebra "
             "(idempotent addition and multiplication)"
         )
-    tree = sequence_to_join_tree(seq)
+    # only a store collected on this very sequence matches it, and that
+    # collect checked the sequence, so its tree is not checked again
     if (not isinstance(store, MessageStore) or store.root != len(seq) - 1
             or tuple(f.domain for f in store.node_factors) != seq.domains
-            or not store.messages.keys() >= set(tree.edges)):
+            or not store.messages.keys() >= set(enumerate(seq.b))):
         raise DomainError("intermediate cache does not match the sequence")
+    tree = LabeledTree(seq.domains, tuple(enumerate(seq.b)))  # factors from the store
     return distribute(tree, store.node_factors, store, ops)

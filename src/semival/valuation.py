@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import domains as dm
 from .domains import Domain, VariableCatalog
-from .errors import CapabilityError, DomainError, Frozen, MassError, MismatchError
+from .errors import CapabilityError, DomainError, Frozen, MismatchError
 from .semiring import Semiring
 
 if TYPE_CHECKING:
@@ -63,9 +63,6 @@ class Valuation(Frozen):
         object.__setattr__(self, "semiring", semiring)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "table", table)
-
-    def __mul__(self, other: "Valuation") -> "Valuation":
-        return combine(self, other)
 
 
 def _check_operands(a: Valuation, b: Valuation):
@@ -121,14 +118,6 @@ def _gather(a: Valuation, t: Domain) -> tuple:
         return a.table * a.catalog.config_count(t, cap=None)
     # the map has as many cells as t, so at least two: itemgetter returns a tuple
     return operator.itemgetter(*dm.restriction_index_map(a.catalog, t, a.domain))(a.table)
-
-
-def combine_all(factors: Sequence[Valuation], cat: VariableCatalog, sr: Semiring,
-                cap: int | None = dm.DEFAULT_CONFIG_CAP) -> Valuation:
-    """Combination of the factors in index order; empty list gives the scalar unit."""
-    if not factors:
-        return unit(cat, sr, dm.EMPTY_DOMAIN)
-    return reduce(lambda x, y: combine(x, y, cap=cap), factors)
 
 
 def project(a: Valuation, t: Domain) -> Valuation:
@@ -219,31 +208,6 @@ def is_null(a: Valuation) -> bool:
         raise CapabilityError(f"semiring {a.semiring.name} has no zero element")
     eq, zero = a.semiring.eq, a.semiring.zero
     return all(eq(v, zero) for v in a.table)
-
-
-def normalize(a: Valuation) -> Valuation:
-    """Scale an arithmetic table to total mass one."""
-    if a.semiring.name != "arithmetic":
-        raise CapabilityError("normalize is defined for the arithmetic semiring only")
-    total = math.fsum(a.table)
-    if a.semiring.eq(total, 0.0):
-        raise MassError("cannot normalize a zero-mass table")
-    return Valuation(a.catalog, a.semiring, a.domain,
-                     tuple(v / total for v in a.table))
-
-
-def invert_regular(p: Valuation, t: Domain) -> Valuation:
-    """Pointwise inverse of the marginal on ``t``, with 0 where it vanishes.
-
-    The defining identity ``p == p * project(p, t) * invert_regular(p, t)``
-    holds within comparator tolerance (zero marginal rows stay zero).
-    """
-    if p.semiring.name != "arithmetic":
-        raise CapabilityError("regular inversion is defined for the arithmetic semiring only")
-    marg = project(p, t)
-    eq = p.semiring.eq
-    table = tuple(0.0 if eq(v, 0.0) else 1.0 / v for v in marg.table)
-    return Valuation(p.catalog, p.semiring, t, table)
 
 
 # --- randomized axiom suite ------------------------------------------------

@@ -496,22 +496,22 @@ FUZZ_TOKENS = ("end", ":", "->", "on", "of", "(", ")", "{", "}", "#", "0", "1", 
                "assign", "step", "table", "focal", "kind", "bpa", "(a)", "{1", "3}")
 
 
-def _mutate(rng, lines):
-    """One or two token edits, or a line duplicated or dropped."""
+def _mutate(rng, lines, edits=2, tokens=FUZZ_TOKENS):
+    """One to ``edits`` token edits, or lines duplicated or dropped."""
     lines = [line.split() for line in lines]
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(rng.randint(1, edits)):
         i = rng.randrange(len(lines))
         toks = lines[i]
         op = rng.randrange(6)
         if op == 0 and toks:
-            toks[rng.randrange(len(toks))] = rng.choice(FUZZ_TOKENS)
+            toks[rng.randrange(len(toks))] = rng.choice(tokens)
         elif op == 1 and toks:
             other = rng.choice([t for line in lines for t in line])
             toks[rng.randrange(len(toks))] = other
         elif op == 2 and toks:
             del toks[rng.randrange(len(toks))]
         elif op == 3:
-            toks.insert(rng.randint(0, len(toks)), rng.choice(FUZZ_TOKENS))
+            toks.insert(rng.randint(0, len(toks)), rng.choice(tokens))
         elif op == 4:
             lines.insert(i, list(toks))
         elif len(lines) > 1:
@@ -856,3 +856,44 @@ def test_cap_below_one_is_a_parse_error(argv):
     # every domain has at least one configuration, so such a cap is never met
     code, out, err = run_cli(argv)
     assert code == 2 and out == "" and "cap" in err and "must be >= 1" in err
+
+
+_FUZZ_COMMANDS = (
+    ["render", "-"],
+    ["solve", "-", "--oracle"],
+    *(["check", "-", "--what", what, "--samples", "3"]
+      for what in ("semiring", "valuation-axioms", "qseparoid", "tree", "sequence")),
+    *(["evidence", "-", "--op", op]
+      for op in ("combine", "support", "plausibility", "moebius")),
+)
+_DEVIATION = re.compile(r"^oracle deviation .*: (\S+)$", re.M)
+
+
+def test_mutated_models_fail_cleanly():
+    """Seeded mutants of the fixture models, each run through every command
+    its unmutated model passes: the CLI exits 0-3 without raising, prints
+    no report on a parse or capability error, and keeps the oracle within
+    1e-6 whenever it solves.  Every command parses the model the same way,
+    so a mutant that ``render`` rejects is not run further."""
+    rng = random.Random(26)
+    tokens = FUZZ_TOKENS + ("1e400", "-> 0", "\0")
+    parsed = deviations = 0
+    for path in sorted(MODELS.glob("*.sv")):
+        text = path.read_text()
+        commands = [c for c in _FUZZ_COMMANDS if _run_stdin(c, text)[0] == 0]
+        assert commands[0][0] == "render"
+        for _ in range(300):
+            mutant = _mutate(rng, text.splitlines(), edits=3, tokens=tokens)
+            for command in commands:
+                code, out, _ = _run_stdin(command, mutant)
+                assert type(code) is int and code in (0, 1, 2, 3), (mutant, command)
+                if code in (2, 3):
+                    assert out == "", (mutant, command)
+                for dev in _DEVIATION.findall(out):
+                    assert float(dev) <= 1e-6, (mutant, command)
+                    deviations += 1
+                if code == 2 and command[0] == "render":
+                    break
+            else:
+                parsed += 1
+    assert parsed > 50 and deviations > 50  # the seed reaches the solvers

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -572,7 +573,7 @@ def test_hypertree_tropical_global_maximum():
         aligned = [node_factors[v] for v in order] + [ops.unit(sv.EMPTY_DOMAIN)]
         result, _ = sv.hypertree_collect(seq, aligned, ops)
         # brute force over the full joint table
-        total = sv.combine_all(factors, cat, tr)
+        total = functools.reduce(sv.combine, factors)
         best = max(total.table)
         assert result.table == (best,)
 
@@ -611,7 +612,8 @@ def test_hypertree_capability_errors():
     ops = tc.ValuationOps(cat, ar)
     f = sv.Valuation(cat, ar, cat.domain("x"), (0.5, 0.5))
     seq = sv.EliminationSequence((cat.domain("x"),), ())
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match=r"^hypertree elimination needs an algebra "
+                       r"with transport \(idempotent addition\)$"):
         sv.hypertree_collect(seq, [f], ops)
     with pytest.raises(CapabilityError):
         sv.hypertree_distribute(seq, [f], ops)
@@ -700,6 +702,7 @@ def test_hypertree_distribute_rejects_a_foreign_store():
 
 
 def test_hypertree_collect_checks_running_intersection_once(monkeypatch):
+    """A collect and distribute pair checks the sequence once, at collect."""
     calls = []
     check = tc.first_sequence_violation
     monkeypatch.setattr(tc, "first_sequence_violation",
@@ -712,7 +715,9 @@ def test_hypertree_collect_checks_running_intersection_once(monkeypatch):
         seq, tables = helpers.numbered_tables(rng, factors, ops)
         seq = helpers.repointed(rng, seq)
         calls.clear()
-        sv.hypertree_collect(seq, tables, ops)
+        _, store = sv.hypertree_collect(seq, tables, ops)
+        assert calls == [seq]
+        assert len(sv.hypertree_distribute(seq, store, ops)) == len(seq)
         assert calls == [seq]
 
 

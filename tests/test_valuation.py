@@ -4,7 +4,7 @@ import pytest
 
 import semival as sv
 from semival.domains import restriction_index_map
-from semival.errors import CapabilityError, DomainError, MassError, MismatchError
+from semival.errors import CapabilityError, DomainError, MismatchError
 
 import helpers
 import oracles
@@ -162,52 +162,6 @@ def test_is_null(xy):
     assert not sv.is_null(sv.unit(cat, ar, X))
     assert sv.is_null(sv.Valuation(cat, ar, X, (0.0, 1e-15)))
     assert not sv.is_null(sv.Valuation(cat, ar, X, (0.0, 1e-9)))
-
-
-def test_normalize(xy):
-    cat, X, _, _ = xy
-    ar = sv.get_instance("arithmetic")
-    assert sv.normalize(sv.Valuation(cat, ar, X, (0.3, 0.7))).table == (0.3, 0.7)
-    assert sv.normalize(sv.Valuation(cat, ar, X, (1.0, 3.0))).table == (0.25, 0.75)
-    with pytest.raises(MassError):
-        sv.normalize(sv.Valuation(cat, ar, X, (0.0, 0.0)))
-    with pytest.raises(CapabilityError):
-        sv.normalize(sv.Valuation(cat, sv.get_instance("boolean"), X, (0, 1)))
-
-
-def test_invert_regular_identity(xy):
-    cat, X, Y, XY = xy
-    ar = sv.get_instance("arithmetic")
-    p = sv.Valuation(cat, ar, XY, (0.2, 0.4, 0.0, 0.4))
-    q = sv.invert_regular(p, X)
-    assert all(ar.eq(a, b) for a, b in zip(q.table, (1 / 0.6, 1 / 0.4)))
-    back = sv.combine(sv.combine(p, sv.project(p, X)), q)
-    assert sv.valuations_equal(back, p)
-
-    # a zero marginal row maps to 0 and the identity still holds
-    p2 = sv.Valuation(cat, ar, XY, (0.5, 0.5, 0.0, 0.0))
-    q2 = sv.invert_regular(p2, X)
-    assert q2.table == (1.0, 0.0)
-    assert sv.valuations_equal(sv.combine(sv.combine(p2, sv.project(p2, X)), q2), p2)
-
-    # the whole domain: pointwise inverse on the support
-    q3 = sv.invert_regular(p, XY)
-    assert sv.valuations_equal(sv.combine(sv.combine(p, p), q3), p)
-    with pytest.raises(DomainError):
-        sv.invert_regular(sv.project(p, X), XY)
-
-
-def test_invert_regular_random_identity():
-    rng = random.Random(8)
-    ar = sv.get_instance("arithmetic")
-    for _ in range(30):
-        cat = helpers.random_catalog(rng, max_vars=4, max_frame=3)
-        d = helpers.random_domain(rng, cat)
-        p = helpers.random_valuation(rng, cat, ar, d)
-        names = list(d.names)
-        t = sv.Domain(tuple(rng.sample(names, rng.randint(0, len(names)))))
-        q = sv.invert_regular(p, t)
-        assert sv.valuations_equal(sv.combine(sv.combine(p, sv.project(p, t)), q), p)
 
 
 def test_mismatch_errors(xy):
