@@ -109,7 +109,7 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
     result, store = tc.collect(tree, factors, root, ops)
     at = [tc.default_root(tree, q) for q in queries]
     away = list(dict.fromkeys(v for v in at if v != root))
-    local = dict(zip(away, tc.distribute(tree, factors, store, ops, nodes=away)))
+    local = dict(zip(away, tc.distribute(tree, store, ops, nodes=away)))
     local[root] = result
     for q, v in zip(queries, at):
         answer = ops.solve_to(local[v], q)

@@ -239,22 +239,22 @@ def _repeat_blocks(seq: tuple, length: int, times: int) -> tuple:
     return tuple(out)
 
 
-# stores nothing; kept as a wrapper because perfbench/tracer.py reads cache_info()
+# stores nothing; the name and its cache_info() stay for perfbench/tracer.py
 @lru_cache(maxsize=0)
 def restriction_index_map(
-    cat: VariableCatalog, big: Domain, sub: Domain
-) -> tuple[int, ...]:
-    """``m[i]`` = index in ``sub`` of the restriction of ``big``'s config ``i``.
+    cat: VariableCatalog, big: Domain, sub: Domain, cells: tuple
+) -> tuple:
+    """``cells``, a table on ``sub <= big``, in ``big``'s configuration order.
 
-    ``sub``'s indices in order, with each run of ``big``'s variables that
-    ``sub`` lacks inserted as block repetitions, last run first; no
-    configuration objects are built and no per-cell Python step runs.
-    This is the indexing workhorse behind table combination and vacuous
-    extension.
+    Each run of ``big``'s variables that ``sub`` lacks is inserted as block
+    repetitions of ``cells``, last run first: no configuration objects are
+    built, no index map is applied and no per-cell Python step runs.  With
+    ``cells = tuple(range(count(sub)))`` the result is the restriction index
+    map.  This is the workhorse behind table combination and vacuous extension.
     """
     if not sub <= big:
         raise DomainError(f"{sub} is not a subset of {big}")
-    out = tuple(range(cat.config_count(sub, cap=None)))
+    out = cells
     block = run = 1  # block: items of ``out`` per configuration of the suffix done
     for name in reversed(big.names):
         if name in sub:

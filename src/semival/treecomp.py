@@ -483,20 +483,20 @@ def _inward(tree: LabeledTree, factors: Sequence, order: Sequence[int],
     return _absorb(tree, node_factors, store.messages, root, root, ops), store
 
 
-def distribute(tree: LabeledTree, factors: Sequence, store: MessageStore, ops,
+def distribute(tree: LabeledTree, store: MessageStore, ops,
                nodes: Sequence[int] | None = None):
     """Outward pass; returns the local results of ``nodes`` (default: all).
 
     Only the outward messages on the paths from the root to ``nodes`` are
     built; they are added to the store, so a later call reuses them.
-    Requires the message cache produced by :func:`collect` from the same
-    root.
+    Requires the message cache and node factors produced by
+    :func:`collect` from the same root.
     """
-    node_factors = store.node_factors or tuple(_node_factors(tree, factors, ops))
+    node_factors = store.node_factors
     order, parent = tree.rooted_order(store.root)
-    for v in order:
-        if v != store.root and (v, parent[v]) not in store.messages:
-            raise DomainError("message cache incomplete; run collect first")
+    if len(node_factors) != len(tree) or any(
+            v != store.root and (v, parent[v]) not in store.messages for v in order):
+        raise DomainError("message cache incomplete; run collect first")
     if nodes is None:
         nodes = range(len(tree))
     on_path = set()
@@ -571,5 +571,4 @@ def hypertree_distribute(seq: EliminationSequence, store: MessageStore, ops):
             or tuple(f.domain for f in store.node_factors) != seq.domains
             or not store.messages.keys() >= set(enumerate(seq.b))):
         raise DomainError("intermediate cache does not match the sequence")
-    tree = LabeledTree(seq.domains, tuple(enumerate(seq.b)))  # factors from the store
-    return distribute(tree, store.node_factors, store, ops)
+    return distribute(LabeledTree(seq.domains, tuple(enumerate(seq.b))), store, ops)

@@ -9,8 +9,8 @@ semirings transport would silently break the algebra, so it raises
 :class:`CapabilityError` instead.
 
 Tables are tuples, and the kernels run at C level: combination and
-vacuous extension gather cells through one ``operator.itemgetter`` on a
-restriction index map, and projection block-transposes the summed-out
+vacuous extension repeat blocks of the table itself, with no index map
+built or applied, and projection block-transposes the summed-out
 variables next to each other, then folds them with ``map`` and
 ``reduce``.  Every output cell of a projection is a left fold in
 increasing source-index order, so results keep their exact bits, and
@@ -22,7 +22,6 @@ Valuations are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
-import operator
 from functools import partial, reduce
 from itertools import chain, groupby, repeat, starmap
 from typing import TYPE_CHECKING, Sequence
@@ -114,10 +113,7 @@ def _gather(a: Valuation, t: Domain) -> tuple:
     """``a``'s cells in ``t``'s configuration order (``d(a) <= t``)."""
     if a.domain == t:
         return a.table
-    if len(a.table) == 1:  # the scalar identity a join-tree node starts from, say
-        return a.table * a.catalog.config_count(t, cap=None)
-    # the map has as many cells as t, so at least two: itemgetter returns a tuple
-    return operator.itemgetter(*dm.restriction_index_map(a.catalog, t, a.domain))(a.table)
+    return dm.restriction_index_map(a.catalog, t, a.domain, a.table)
 
 
 def project(a: Valuation, t: Domain) -> Valuation:

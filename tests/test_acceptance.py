@@ -84,7 +84,7 @@ def test_criterion_2_distribute_correctness():
         for idx, (cat, factors, tree, root) in enumerate(_instances(sr)):
             ops = tc.ValuationOps(cat, sr)
             _, store = sv.collect(tree, factors, root, ops)
-            for v, got in enumerate(sv.distribute(tree, factors, store, ops)):
+            for v, got in enumerate(sv.distribute(tree, store, ops)):
                 expected = sv.naive_solve(factors, tree.labels[v], ops)
                 if not _close(name, got, expected):
                     failures.append((name, idx, v))

@@ -188,7 +188,7 @@ def test_restriction_index_map_matches_restrict():
         big = sv.Domain(tuple(v.name for v in cat.variables))
         names = list(big.names)
         sub = sv.Domain(tuple(rng.sample(names, rng.randint(0, len(names)))))
-        rmap = restriction_index_map(cat, big, sub)
+        rmap = restriction_index_map(cat, big, sub, tuple(range(cat.config_count(sub))))
         restrict, sub_configs = restrictor(big, sub), config_values(cat, sub)
         assert list(rmap) == [sub_configs.index(restrict(c))
                               for c in config_values(cat, big)]

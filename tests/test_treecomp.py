@@ -399,7 +399,7 @@ def test_collect_one_node_tree():
     result, store = sv.collect(tree, [f], 0, ops)
     assert sv.valuations_equal(result, f)
     assert store.messages == {}
-    [only] = sv.distribute(tree, [f], store, ops)
+    [only] = sv.distribute(tree, store, ops)
     assert sv.valuations_equal(only, f)
 
 
@@ -413,7 +413,7 @@ def test_collect_arithmetic_chain_matches_oracle(arithmetic_chain):
     assert result.table == (0.45, 0.05, 0.1, 0.4)
     expected = sv.naive_solve(factors, tree.labels[root], ops)
     assert sv.valuations_equal(result, expected)
-    for v, r in enumerate(sv.distribute(tree, factors, store, ops)):
+    for v, r in enumerate(sv.distribute(tree, store, ops)):
         assert sv.valuations_equal(r, sv.naive_solve(factors, tree.labels[v], ops))
 
 
@@ -432,7 +432,7 @@ def test_collect_boolean_chain_matches_oracle():
         assert sv.valuations_equal(
             result, sv.naive_solve([f1, f2], tree.labels[root], ops)
         )
-        for v, r in enumerate(sv.distribute(tree, [f1, f2], store, ops)):
+        for v, r in enumerate(sv.distribute(tree, store, ops)):
             assert sv.valuations_equal(
                 r, sv.naive_solve([f1, f2], tree.labels[v], ops)
             )
@@ -456,9 +456,12 @@ def test_distribute_requires_cache():
     f2 = sv.Valuation(cat, bo, cat.domain("y"), (1, 0))
     tree = sv.LabeledTree((cat.domain("x"), cat.domain("y")), ((0, 1),), (0, 1))
     _, store = sv.collect(tree, [f1, f2], 0, ops)
+    messages = dict(store.messages)
     store.messages.clear()
     with pytest.raises(DomainError):
-        sv.distribute(tree, [f1, f2], store, ops)
+        sv.distribute(tree, store, ops)
+    with pytest.raises(DomainError, match="message cache incomplete"):
+        sv.distribute(tree, sv.MessageStore(0, messages), ops)
 
 
 def test_distribute_to_one_node_builds_only_its_path():
@@ -480,9 +483,9 @@ def test_distribute_to_one_node_builds_only_its_path():
         root, v = rng.randrange(len(tree)), rng.randrange(len(tree))
 
         _, full = sv.collect(tree, factors, root, ops)
-        want = sv.distribute(tree, factors, full, ops)[v]
+        want = sv.distribute(tree, full, ops)[v]
         _, store = sv.collect(tree, factors, root, ops)
-        [got] = sv.distribute(tree, factors, store, ops, nodes=[v])
+        [got] = sv.distribute(tree, store, ops, nodes=[v])
         assert got.domain == want.domain and got.table == want.table
         assert list(map(type, got.table)) == list(map(type, want.table))
 
@@ -751,7 +754,7 @@ def test_set_potentials_through_trees():
             result, store = sv.collect(tree, pots, root, ops)
             assert helpers.potentials_equal(result, sv.naive_solve(pots, tree.labels[root], ops))
         result, store = sv.collect(tree, pots, 0, ops)
-        for v, r in enumerate(sv.distribute(tree, pots, store, ops)):
+        for v, r in enumerate(sv.distribute(tree, store, ops)):
             assert helpers.potentials_equal(r, sv.naive_solve(pots, tree.labels[v], ops))
     # set potentials offer transport but not idempotent distribute
     cat = sv.VariableCatalog.of({"x": ("0", "1")})
@@ -772,7 +775,7 @@ def test_idempotent_messages_live_on_separators():
     tree = sv.build_covering_join_tree([f.domain for f in factors])
     root = len(tree) - 1
     _, store = sv.collect(tree, factors, root, ops)
-    sv.distribute(tree, factors, store, ops)
+    sv.distribute(tree, store, ops)
     assert len(store.messages) == 2 * (len(tree) - 1)
     for (src, dst), message in store.messages.items():
         assert message.domain <= (tree.labels[src] & tree.labels[dst])
@@ -849,7 +852,7 @@ def _solve_everywhere(tree, factors, ops):
     out = []
     for root in range(len(tree)):
         result, store = sv.collect(tree, factors, root, ops)
-        out.append((result, sv.distribute(tree, factors, store, ops)))
+        out.append((result, sv.distribute(tree, store, ops)))
     return out
 
 

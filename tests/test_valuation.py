@@ -274,7 +274,8 @@ def _check_kernels(a, b, kept):
     got = sv.combine(a, b)
     assert got.domain == u and _same(got.table, want)
     for d in (a.domain, b.domain):
-        assert restriction_index_map(cat, u, d) == oracles.odometer_index_map(cat, u, d)
+        indices = tuple(range(cat.config_count(d)))
+        assert restriction_index_map(cat, u, d, indices) == oracles.odometer_index_map(cat, u, d)
     assert _same(sv.vacuous_extend(a, u).table, oracles.cellwise_extend(a, u))
     for v, t in ((a, kept), (a, sv.Domain()), (got, b.domain)):
         assert _same(sv.project(v, t).table, oracles.cellwise_project(v, t))
@@ -297,15 +298,29 @@ def test_dense_kernels_match_cellwise_reference():
 
 def test_restriction_index_map_matches_the_odometer():
     """Frames of one to four values, so that runs of missing variables
-    repeat blocks of every length, size-1 variables included."""
+    repeat blocks of every length, size-1 variables included; a table of
+    distinct sentinels comes out in the order the odometer's map gives it."""
     rng = random.Random(605)
     pool = [f"v{i}" for i in range(12)]  # "v10" < "v2"
-    for case in range(1500):
+    ones = sv.VariableCatalog.of({"a": "x", "b": "abc", "c": "x"})
+    cases = [  # sub empty, sub == big, a 1-cell table on 1-value frames
+        (ones, ones.domain("a", "b", "c"), sv.Domain()),
+        (ones, ones.domain("a", "b", "c"), ones.domain("a", "b", "c")),
+        (ones, ones.domain("a", "b", "c"), ones.domain("a", "c")),
+    ]
+    for _ in range(1500):
         names = rng.sample(pool, rng.randint(0, 7))
         cat = sv.VariableCatalog.of({n: "abcd"[:rng.randint(1, 4)] for n in names})
         big = sv.Domain(tuple(rng.sample(names, rng.randint(0, len(names)))))
         sub = sv.Domain(tuple(rng.sample(big.names, rng.randint(0, len(big)))))
-        assert restriction_index_map(cat, big, sub) == oracles.odometer_index_map(cat, big, sub), case
+        cases.append((cat, big, sub))
+    for case, (cat, big, sub) in enumerate(cases):
+        want = oracles.odometer_index_map(cat, big, sub)
+        count = cat.config_count(sub)
+        assert restriction_index_map(cat, big, sub, tuple(range(count))) == want, case
+        cells = tuple(object() for _ in range(count))
+        got = restriction_index_map(cat, big, sub, cells)
+        assert got == tuple(cells[i] for i in want), case
 
 
 def _special_table(rng, sr, n):
@@ -392,7 +407,7 @@ def test_collect_and_distribute_match_the_cellwise_kernels():
         runs = []
         for ops in (sv.ValuationOps(cat, sr), _CellwiseOps(cat, sr)):
             result, store = sv.collect(tree, factors, 0, ops)
-            runs.append([result] + sv.distribute(tree, factors, store, ops))
+            runs.append([result] + sv.distribute(tree, store, ops))
         for got, want in zip(*runs):
             assert got.domain == want.domain and _same(got.table, want.table), k
 
