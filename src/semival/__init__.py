@@ -67,6 +67,7 @@ _EXPORTS = {
         "mass_to_belief",
         "mass_to_commonality",
         "set_potential",
+        "subset_tables",
         "transport_potential",
         "vacuous",
     ),

@@ -10,16 +10,18 @@ silently renormalized: :func:`dempster_combine` removes it and conditions
 the rest on consistency.  A potential's ``conflict`` is the mass K this
 removed from the whole combination, or else its own empty-set mass.
 
-Belief and commonality are evaluated lazily per query set; the full
-inverse transforms are offered only under a frame-size cap because they
-touch all ``2^k`` subsets.
+Belief and commonality are evaluated lazily per query set.  The full
+tables and their inverse (Moebius) transforms are lists over all ``2^k``
+subsets of the frame, indexed by bitmask, and are offered only under a
+cap on the frame's configuration count k.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from . import domains as dm
 from .compare import DEFAULT_COMPARATOR, Comparator
@@ -279,65 +281,138 @@ def mass_to_commonality(m: SetPotential, s: FocalSet) -> float:
 def all_focal_sets(cat: VariableCatalog, domain: Domain,
                    cap: int | None = DEFAULT_SUBSET_CAP) -> list[FocalSet]:
     """All ``2^k`` subsets of the frame, ordered by bitmask."""
+    k = _frame_size(cat, domain, cap)
+    configs = dm.config_values(cat, domain)
+    return [FocalSet(domain, _members(configs, mask)) for mask in range(1 << k)]
+
+
+def _frame_size(cat: VariableCatalog, domain: Domain, cap: int | None) -> int:
+    """The frame's configuration count k, checked against the subset cap."""
     k = cat.config_count(domain, cap=None)
     if cap is not None and k > cap:
         raise CapacityError(f"frame of {domain} has {k} > {cap} configurations")
-    configs = dm.config_values(cat, domain)
-    out = []
-    for mask in range(1 << k):
-        members = tuple(configs[i] for i in range(k) if mask >> i & 1)
-        out.append(FocalSet(domain, members))
-    return out
+    return k
+
+
+def _members(configs: list, mask: int) -> tuple:
+    """The configurations whose bits ``mask`` holds."""
+    return tuple(values for i, values in enumerate(configs) if mask >> i & 1)
+
+
+def _subset_pass(f: list, k: int, op, superset: bool) -> None:
+    """For each of the ``k`` bits in turn, every mask holding it (or, for
+    ``superset``, lacking it) becomes ``op`` of its own entry and the entry
+    of the mask that differs from it in that bit alone.
+
+    Within one bit the two halves read only each other, so each pass is
+    slice assignments: one per block of ``2 * step`` masks, or one per
+    offset within a block, whichever is fewer.
+    """
+    n = len(f)
+    for bit in range(k):
+        step = 1 << bit
+        if n // (2 * step) <= step:
+            spans = [(slice(s, s + step), slice(s + step, s + 2 * step))
+                     for s in range(0, n, 2 * step)]
+        else:
+            spans = [(slice(o, n, 2 * step), slice(o + step, n, 2 * step))
+                     for o in range(step)]
+        for lo, hi in spans:
+            if superset:
+                f[lo] = map(op, f[lo], f[hi])
+            else:
+                f[hi] = map(op, f[hi], f[lo])
+
+
+def subset_tables(m: SetPotential, cap: int | None = DEFAULT_SUBSET_CAP
+                  ) -> tuple[list[float], list[float]]:
+    """The belief and commonality of every subset of the frame, by bitmask.
+
+    Bit i stands for the i-th configuration of ``config_values``, the order
+    of :func:`all_focal_sets`.  Each entry is the ``fsum`` of the same focal
+    masses that :func:`mass_to_belief` and :func:`mass_to_commonality` add
+    up: the focal sets below (above) every mask are found as integer sets of
+    focal indices by an OR pass over the subset lattice, and each distinct
+    set of focal indices is summed once.
+    """
+    cat, domain = m.catalog, m.domain
+    k = _frame_size(cat, domain, cap)
+    bit = {values: 1 << i for i, values in enumerate(dm.config_values(cat, domain))}
+    below = [0] * (1 << k)
+    for i, (fs, _) in enumerate(m.focal):
+        try:
+            below[sum(map(bit.__getitem__, fs.configs))] |= 1 << i
+        except KeyError as exc:
+            raise DomainError(
+                f"configuration {exc.args[0]} is out of range for {domain}"
+            ) from None
+    above = below.copy()
+    _subset_pass(below, k, operator.or_, superset=False)
+    _subset_pass(above, k, operator.or_, superset=True)
+    masses = [mass for _, mass in m.focal]
+    total = {held: math.fsum(mass for i, mass in enumerate(masses) if held >> i & 1)
+             for held in {*below, *above}}
+    return list(map(total.__getitem__, below)), list(map(total.__getitem__, above))
 
 
 def _moebius_invert(cat: VariableCatalog, domain: Domain,
-                    table: Mapping[FocalSet, float], cap: int,
+                    table: Sequence[float] | Mapping[FocalSet, float], cap: int,
                     comparator: Comparator, superset: bool) -> SetPotential:
     """Invert a full table over all subsets of the frame to the masses.
 
-    One frame configuration (bit) at a time, every set holding it (or, for
+    ``table`` is in bitmask order (bit i is the i-th configuration of
+    ``config_values``), or a mapping from every subset to its entry.  One
+    frame configuration (bit) at a time, every set holding it (or, for
     ``superset``, lacking it) subtracts the entry of the set that differs
     from it in that bit alone.
     """
-    subsets = all_focal_sets(cat, domain, cap)
-    if len(table) != len(subsets):
-        raise MassError(
-            f"table has {len(table)} entries, expected {len(subsets)}"
-        )
-    f = []
-    for fs in subsets:
-        if fs not in table:
-            raise MassError("table does not cover every subset of the frame")
-        f.append(float(table[fs]))
-    for bit in range(cat.config_count(domain, cap=None)):
-        step = 1 << bit
-        for mask in range(len(f)):
-            if bool(mask & step) != superset:
-                f[mask] -= f[mask ^ step]
-    items = [(fs, v) for fs, v in zip(subsets, f) if not comparator.is_zero(v)]
+    k = _frame_size(cat, domain, cap)
+    configs = dm.config_values(cat, domain)
+    if len(table) != 1 << k:
+        raise MassError(f"table has {len(table)} entries, expected {1 << k}")
+    if isinstance(table, Mapping):
+        f = [None] * (1 << k)
+        bit = {values: 1 << i for i, values in enumerate(configs)}
+        for fs, value in table.items():
+            if fs.domain != domain or not bit.keys() >= fs.config_set:
+                raise MassError("table does not cover every subset of the frame")
+            f[sum(map(bit.__getitem__, fs.configs))] = float(value)
+    else:
+        f = list(map(float, table))
+    _subset_pass(f, k, operator.sub, superset)
+    items = [(FocalSet(domain, _members(configs, mask)), v)
+             for mask, v in enumerate(f) if not comparator.is_zero(v)]
     return set_potential(cat, domain, items, RAW, comparator=comparator)
 
 
 def belief_to_mass(
     cat: VariableCatalog,
     domain: Domain,
-    belief: Mapping[FocalSet, float],
+    belief: Sequence[float] | Mapping[FocalSet, float],
     cap: int = DEFAULT_SUBSET_CAP,
     comparator: Comparator = DEFAULT_COMPARATOR,
 ) -> SetPotential:
-    """Invert a full belief table by the alternating subset sums."""
+    """Invert a full belief table (see :func:`subset_tables`) by the
+    alternating subset sums."""
     return _moebius_invert(cat, domain, belief, cap, comparator, superset=False)
 
 
 def commonality_to_mass(
     cat: VariableCatalog,
     domain: Domain,
-    commonality: Mapping[FocalSet, float],
+    commonality: Sequence[float] | Mapping[FocalSet, float],
     cap: int = DEFAULT_SUBSET_CAP,
     comparator: Comparator = DEFAULT_COMPARATOR,
 ) -> SetPotential:
-    """Invert a full commonality table by the alternating superset sums."""
+    """Invert a full commonality table (see :func:`subset_tables`) by the
+    alternating superset sums."""
     return _moebius_invert(cat, domain, commonality, cap, comparator, superset=True)
+
+
+def mass_deviation(a: SetPotential, b: SetPotential) -> float:
+    """The largest difference between the masses two potentials give a set."""
+    keys = set(a.by_set) | set(b.by_set)
+    return max((abs(a.mass(k) - b.mass(k)) for k in keys), default=0.0)
 
 
 def degree_of_quasi_support(m: SetPotential, h: FocalSet) -> float:

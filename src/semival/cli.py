@@ -17,26 +17,21 @@ import time
 from typing import TYPE_CHECKING
 
 from .compare import Comparator, DEFAULT_COMPARATOR
-from .domains import DEFAULT_CONFIG_CAP, Domain
+from .domains import DEFAULT_CONFIG_CAP, Domain, config_values
 from .errors import CapabilityError, DomainError, ParseError, SemivalError
-from .model import Model, focal_text, parse_model, render_model
+from .model import Model, focal_texts, parse_model, render_model
 from .semiring import format_value
 
 if TYPE_CHECKING:  # each command imports the modules it runs
-    from .belief import FocalSet, SetPotential
+    from .belief import SetPotential
 
 VERSION = "0.1.0"
 
 
-def _fmt_focal(model: Model, fs: FocalSet) -> str:
-    return "{" + focal_text(model.catalog, fs) + "}"
-
-
 def _potential_lines(model: Model, pot: SetPotential, prefix: str) -> list[str]:
-    out = []
-    for fs, mass in pot.focal:
-        out.append(f"{prefix}{_fmt_focal(model, fs)}: {format_value(mass)}")
-    return out
+    texts = focal_texts(model.catalog, [fs for fs, _ in pot.focal])
+    return [f"{prefix}{{{text}}}: {format_value(mass)}"
+            for text, (_, mass) in zip(texts, pot.focal)]
 
 
 def _queries(model: Model, args) -> list[Domain]:
@@ -201,11 +196,12 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
         if not model.hypotheses:
             raise ParseError("model has no hypothesis stanzas")
         combined = _combined_potential(model, comparator, args.cap)
-        for name, h in model.hypotheses:
+        texts = focal_texts(model.catalog, [h for _, h in model.hypotheses])
+        for (name, h), text in zip(model.hypotheses, texts):
             pot = combined
             if h.domain != combined.domain:
                 pot = bf.transport_potential(combined, h.domain, cap=args.cap)
-            tag = f"hypothesis {name} {_fmt_focal(model, h)}"
+            tag = f"hypothesis {name} {{{text}}}"
             if op == "support":
                 qsp, sp = bf.degree_of_support(pot, h, comparator)
                 lines.append(
@@ -220,26 +216,26 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
                     f"{tag}: pl {format_value(pl)} dual {format_value(1.0 - sp_c)}"
                 )
     elif op == "moebius":
-        from .treecomp import SetPotentialOps
-        ops = SetPotentialOps(model.catalog)
         cap = bf.DEFAULT_SUBSET_CAP if args.subset_cap is None else args.subset_cap
         for name, pot in model.potentials:
-            subsets = bf.all_focal_sets(model.catalog, pot.domain, cap=cap)
-            lines.append(
-                f"moebius {name} {pot.domain}: {len(subsets)} subsets"
-            )
-            btable = {fs: bf.mass_to_belief(pot, fs) for fs in subsets}
-            qtable = {fs: bf.mass_to_commonality(pot, fs) for fs in subsets}
-            for fs in sorted(subsets, key=lambda f: f.configs):
-                text = _fmt_focal(model, fs)
-                lines.append(f"  b {text}: {format_value(btable[fs])}"
-                             f"  q {text}: {format_value(qtable[fs])}")
-            back_b = bf.belief_to_mass(model.catalog, pot.domain, btable,
-                                       cap=cap, comparator=comparator)
-            back_q = bf.commonality_to_mass(model.catalog, pot.domain, qtable,
-                                            cap=cap, comparator=comparator)
-            for label, back in (("belief", back_b), ("commonality", back_q)):
-                dev = ops.deviation(pot, back)
+            btable, qtable = bf.subset_tables(pot, cap)
+            lines.append(f"moebius {name} {pot.domain}: {len(btable)} subsets")
+            configs = config_values(model.catalog, pot.domain)
+            texts = focal_texts(model.catalog,
+                                [bf.FocalSet(pot.domain, (values,)) for values in configs])
+            # depth first over member indices: configurations are numbered
+            # in tuple order, so subsets come in the order of their tuples
+            stack = [(0, "", 0)]
+            while stack:
+                mask, text, first = stack.pop()
+                lines.append(f"  b {{{text}}}: {format_value(btable[mask])}"
+                             f"  q {{{text}}}: {format_value(qtable[mask])}")
+                stack.extend((mask | 1 << i, f"{text} {texts[i]}" if text else texts[i], i + 1)
+                             for i in reversed(range(first, len(texts))))
+            for label, invert, table in (("belief", bf.belief_to_mass, btable),
+                                         ("commonality", bf.commonality_to_mass, qtable)):
+                back = invert(model.catalog, pot.domain, table, cap=cap, comparator=comparator)
+                dev = bf.mass_deviation(pot, back)
                 lines.append(f"  roundtrip {label}: max deviation {format_value(dev)}")
     lines.append("status: ok")
     return lines, 0

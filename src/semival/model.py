@@ -12,6 +12,7 @@ text that parses back to structurally equal objects.
 from __future__ import annotations
 
 import math
+from operator import getitem
 from typing import TYPE_CHECKING
 
 from .compare import DEFAULT_COMPARATOR, Comparator
@@ -440,11 +441,22 @@ def parse_model(text: str, comparator: Comparator = DEFAULT_COMPARATOR) -> Model
     return _Parser(text, comparator).parse()
 
 
-def focal_text(cat: VariableCatalog, fs: FocalSet) -> str:
-    """The configurations of a focal set as ``(label ...) (label ...)``."""
-    frames = [cat.frame(n) for n in fs.domain.names]
-    return " ".join("(" + " ".join(f[v] for f, v in zip(frames, values)) + ")"
-                    for values in fs.configs)
+def focal_texts(cat: VariableCatalog, sets: Sequence[FocalSet]) -> list[str]:
+    """Each focal set's configurations as ``(label ...) (label ...)``.
+
+    The text of each distinct configuration is built once per call, and
+    only for configurations that ``sets`` hold; a report makes one call for
+    all the sets it prints.  Nothing is cached between calls.
+    """
+    configs: dict[Domain, set] = {}
+    for fs in sets:
+        configs.setdefault(fs.domain, set()).update(fs.configs)
+    texts = {}
+    for domain, distinct in configs.items():
+        frames = [cat.frame(n) for n in domain.names]
+        texts[domain] = {values: "(" + " ".join(map(getitem, frames, values)) + ")"
+                         for values in distinct}
+    return [" ".join(map(texts[fs.domain].__getitem__, fs.configs)) for fs in sets]
 
 
 def render_model(model: Model) -> str:
@@ -460,8 +472,12 @@ def render_model(model: Model) -> str:
     def head(kind: str, name: str, domain: Domain) -> str:
         return f"{kind} {name}" + (" on " + " ".join(domain.names) if domain else "")
 
+    sets = [fs for _, pot in model.potentials for fs, _ in pot.focal]
+    sets += [h for _, h in model.hypotheses]
+    text_of = dict(zip(sets, focal_texts(cat, sets)))
+
     def after_colon(fs: FocalSet) -> str:
-        return " :" + (" " + focal_text(cat, fs) if fs.configs else "")
+        return " :" + (" " + text_of[fs] if fs.configs else "")
 
     for name, val in model.factors:
         out.append(head("factor", name, val.domain))

@@ -394,8 +394,7 @@ class SetPotentialOps:
     solve_to = message
 
     def deviation(self, a, b) -> float:
-        keys = set(a.by_set) | set(b.by_set)
-        return max((abs(a.mass(k) - b.mass(k)) for k in keys), default=0.0)
+        return self._bf.mass_deviation(a, b)
 
 
 class MessageStore:
@@ -492,6 +491,8 @@ def distribute(tree: LabeledTree, store: MessageStore, ops,
     Requires the message cache and node factors produced by
     :func:`collect` from the same root.
     """
+    if not 0 <= store.root < len(tree):
+        raise DomainError(f"root {store.root} out of range")
     node_factors = store.node_factors
     order, parent = tree.rooted_order(store.root)
     if len(node_factors) != len(tree) or any(

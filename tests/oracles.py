@@ -452,6 +452,23 @@ def index_map_transport_potential(m, t, cap=dm.DEFAULT_CONFIG_CAP):
     return set_potential(cat, t, items, RAW)
 
 
+# --- Moebius inversion, one mask at a time ------------------------------------
+# The inversion as it first ran: for each frame configuration (bit), every
+# mask holding it (for ``superset``, lacking it) subtracts the entry of the
+# mask without (with) it, in mask order.  Within one bit no entry that is
+# read is also written, so the package's slice passes must give the same
+# list, bit for bit.
+
+def per_mask_moebius_invert(table, k: int, superset: bool) -> list[float]:
+    f = list(map(float, table))
+    for bit in range(k):
+        step = 1 << bit
+        for mask in range(len(f)):
+            if bool(mask & step) != superset:
+                f[mask] -= f[mask ^ step]
+    return f
+
+
 # --- Dempster's rule as a fold ------------------------------------------------
 # The n-ary rule as the CLI first applied it: a left fold of the binary rule,
 # conditioning after every step; and the rule as defined: the raw combination

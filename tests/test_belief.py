@@ -377,6 +377,89 @@ def test_moebius_cap_and_completeness(ab):
         sv.belief_to_mass(cat, U, incomplete)
 
 
+FRAME_SHAPES = ((), (1,), (2,), (3,), (2, 2), (1, 3), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2),
+                (3, 4), (4, 3))
+
+
+def _random_potentials(rng, count):
+    """Random bpa and raw potentials on frames of 1-12 configurations; the
+    raw ones put mass on the empty set in about half the draws."""
+    for made in range(count):
+        shape = FRAME_SHAPES[made % len(FRAME_SHAPES)]
+        cat = sv.VariableCatalog.of({f"v{i}": tuple("abcd"[:n]) for i, n in enumerate(shape)})
+        d = cat.domain(*(v.name for v in cat.variables))
+        configs = sv.FocalSet.full(cat, d).configs
+        if (made + made // len(FRAME_SHAPES)) % 2:  # each shape gets both kinds
+            yield cat, d, helpers.random_bpa(rng, cat, d, max_focal=6)
+            continue
+        sets = [sv.FocalSet(d, tuple(rng.sample(configs, rng.randint(1, len(configs)))))
+                for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.5:
+            sets.append(sv.FocalSet.empty(d))
+        yield cat, d, sv.set_potential(cat, d, [(fs, rng.random() + 0.01) for fs in sets])
+
+
+def _subset_of(configs, mask):
+    return tuple(values for i, values in enumerate(configs) if mask >> i & 1)
+
+
+def test_subset_tables_match_the_per_subset_queries():
+    rng = random.Random(16)
+    sizes, empty = set(), 0
+    for cat, d, m in _random_potentials(rng, 60):
+        btable, qtable = sv.subset_tables(m)
+        subsets = all_focal_sets(cat, d)
+        assert len(btable) == len(qtable) == len(subsets) == 1 << cat.config_count(d)
+        assert btable == [sv.mass_to_belief(m, s) for s in subsets]
+        assert qtable == [sv.mass_to_commonality(m, s) for s in subsets]
+        sizes.add(cat.config_count(d))
+        empty += m.empty_mass() > 0
+    assert sizes == {1, 2, 3, 4, 6, 8, 12} and empty > 5
+
+
+def test_subset_tables_cap_bounds_the_frame(ab):
+    cat, U, fs = ab
+    m = sv.vacuous(cat, U)
+    assert sv.subset_tables(m, cap=2) == ([0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(CapacityError, match="2 > 1 configurations"):
+        sv.subset_tables(m, cap=1)
+
+
+def test_slice_inversion_matches_the_per_mask_loop():
+    """The masses each inversion keeps are the per-mask loop's, bit for bit."""
+    rng = random.Random(17)
+    for cat, d, m in _random_potentials(rng, 60):
+        configs = sv.FocalSet.full(cat, d).configs
+        k = len(configs)
+        for table, invert, superset in zip(sv.subset_tables(m),
+                                           (sv.belief_to_mass, sv.commonality_to_mass),
+                                           (False, True)):
+            want = oracles.per_mask_moebius_invert(table, k, superset)
+            kept = [(sv.FocalSet(d, _subset_of(configs, mask)), v)
+                    for mask, v in enumerate(want) if not sv.DEFAULT_COMPARATOR.is_zero(v)]
+            got = invert(cat, d, table)
+            assert got.focal == sv.set_potential(cat, d, kept).focal
+            assert got.focal == invert(cat, d, tuple(table)).focal
+
+
+def test_mapping_and_bitmask_tables_invert_alike():
+    rng = random.Random(18)
+    for cat, d, m in _random_potentials(rng, 30):
+        subsets = all_focal_sets(cat, d)
+        for table, invert in zip(sv.subset_tables(m),
+                                 (sv.belief_to_mass, sv.commonality_to_mass)):
+            by_set = dict(zip(subsets, table))
+            assert invert(cat, d, by_set).focal == invert(cat, d, table).focal
+            with pytest.raises(MassError, match="does not cover every subset"):
+                invert(cat, d, {**dict(list(by_set.items())[:-1]),
+                                sv.FocalSet(sv.Domain(("elsewhere",)), ((0,),)): 0.0})
+            with pytest.raises(MassError, match="table has"):
+                invert(cat, d, dict(list(by_set.items())[1:]))
+            for wrong in (table[:-1], table + [0.0]):
+                with pytest.raises(MassError, match=f"table has {len(wrong)} entries"):
+                    invert(cat, d, wrong)
+
+
 def test_support_and_plausibility_examples(ab):
     cat, U, fs = ab
     m = sv.set_potential(cat, U, [(fs("a"), 0.3), (fs("a", "b"), 0.7)], "bpa")

@@ -89,9 +89,9 @@ CASES = {
                    {"valuation", "belief", "partitions", "reports", "random"}),
     "check-sequence": (["check", "sequence.sv", "--what", "sequence"],
                        {"valuation", "belief", "partitions", "reports", "random"}),
-    # set potentials never reach for the dense-table kernels
+    # set potentials never reach for the dense-table kernels, nor for the tree solver
     **{f"evidence-{op}": (["evidence", "transport.sv", "--op", op],
-                          {"valuation", "partitions", "random"})
+                          {"treecomp", "valuation", "partitions", "random"})
        for op in ("combine", "support", "plausibility", "moebius")},
 }
 

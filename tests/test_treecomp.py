@@ -464,6 +464,18 @@ def test_distribute_requires_cache():
         sv.distribute(tree, sv.MessageStore(0, messages), ops)
 
 
+def test_distribute_rejects_a_root_outside_the_tree():
+    cat = sv.VariableCatalog.of({"x": ("0", "1")})
+    bo = sv.get_instance("boolean")
+    ops = tc.ValuationOps(cat, bo)
+    tree = sv.LabeledTree((cat.domain("x"),), (), (0,))
+    _, store = sv.collect(tree, [sv.Valuation(cat, bo, cat.domain("x"), (1, 0))], 0, ops)
+    for root in (3, -1):
+        store.root = root
+        with pytest.raises(DomainError, match=f"root {root} out of range"):
+            sv.distribute(tree, store, ops)
+
+
 def test_distribute_to_one_node_builds_only_its_path():
     """``nodes=[v]`` answers bitwise like the full pass and stores only the
     inward messages plus the outward ones on the root-to-``v`` path."""
