@@ -19,7 +19,6 @@ _EXPORTS = {
         "Variable",
         "VariableCatalog",
         "cond_indep_subsets",
-        "restrictor",
     ),
     "semiring": (
         "Semiring",

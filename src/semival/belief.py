@@ -1,6 +1,6 @@
 """Set potentials: sparse mass assignments over configuration sets.
 
-A :class:`SetPotential` maps focal sets (sets of configurations of its
+A :class:`SetPotential` maps focal sets (bitmasks over the frame of its
 domain) to positive masses.  Combination intersects cylindrically
 extended focal pairs on the union domain and accumulates their mass
 products; transport restricts each focal set to the shared variables,
@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cached_property
+from functools import cached_property, cmp_to_key, reduce
+from itertools import compress, count
 
 from . import domains as dm
 from .compare import DEFAULT_COMPARATOR, Comparator
@@ -44,25 +45,23 @@ BPA = "bpa"
 
 
 class FocalSet(Frozen):
-    """A canonically sorted set of configurations over one domain."""
+    """A set of configurations of one domain, as a mask over its frame: bit i
+    is the i-th configuration of ``config_values`` (row-major: tuple order)."""
 
-    def __init__(self, domain: Domain, configs: tuple[tuple[int, ...], ...]):
-        ordered = tuple(sorted(set(configs)))
-        k = len(domain)
-        for values in ordered:
-            if len(values) != k:
-                raise DomainError(
-                    f"configuration {values} does not fit domain {domain}"
-                )
+    def __init__(self, catalog: VariableCatalog, domain: Domain, mask: int):
+        n = catalog.config_count(domain, cap=None)
+        if mask < 0 or mask.bit_length() > n:
+            raise DomainError(f"mask does not fit the {n} configurations of {domain}")
+        object.__setattr__(self, "catalog", catalog)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "configs", ordered)
-        object.__setattr__(self, "_hash", hash((domain.names, ordered)))
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_hash", hash((domain.names, mask)))
 
     # no _key(): focal sets key every mass and belief table, so hash them once
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.configs == other.configs and self.domain == other.domain
+        return self.mask == other.mask and self.domain == other.domain
 
     def __hash__(self):
         return self._hash
@@ -70,31 +69,66 @@ class FocalSet(Frozen):
     @classmethod
     def of(cls, cat: VariableCatalog, domain: Domain,
            configs: Iterable[tuple[int, ...]]) -> "FocalSet":
-        fs = cls(domain, tuple(configs))
-        for values in fs.configs:
-            for name, v in zip(domain.names, values):
-                if not 0 <= v < cat.size(name):
-                    raise DomainError(f"value index {v} out of range for {name!r}")
-        return fs
+        """The set of ``configs``, value-index tuples each checked against its frame."""
+        cat.config_count(domain)  # the mask is as wide as the frame
+        frames = [range(cat.size(name)) for name in domain.names]
+        places = [math.prod(map(len, frames[j + 1:])) for j in range(len(frames))]
+        mask = 0
+        for values in configs:
+            if len(values) != len(frames) or not all(map(operator.contains, frames, values)):
+                raise DomainError(f"configuration {values} is outside the frame of {domain}")
+            mask |= 1 << sum(map(operator.mul, values, places))
+        return cls(cat, domain, mask)
 
     @classmethod
     def full(cls, cat: VariableCatalog, domain: Domain) -> "FocalSet":
-        return cls(domain, tuple(dm.config_values(cat, domain)))
+        return cls(cat, domain, (1 << cat.config_count(domain)) - 1)
 
     @classmethod
-    def empty(cls, domain: Domain) -> "FocalSet":
-        return cls(domain, ())
+    def empty(cls, cat: VariableCatalog, domain: Domain) -> "FocalSet":
+        return cls(cat, domain, 0)
 
-    @cached_property
-    def config_set(self) -> frozenset:
-        return frozenset(self.configs)
+    @property
+    def indices(self) -> list[int]:
+        """The frame positions of the members, ascending."""
+        return _indices(self.mask)
+
+    @property
+    def configs(self) -> tuple[tuple[int, ...], ...]:
+        """The members as value-index tuples, in tuple order."""
+        sizes = [self.catalog.size(name) for name in self.domain.names]
+        places = [(math.prod(sizes[j + 1:]), size) for j, size in enumerate(sizes)]
+        return tuple(tuple([i // p % size for p, size in places]) for i in self.indices)
 
     def complement(self, cat: VariableCatalog) -> "FocalSet":
-        full = FocalSet.full(cat, self.domain)
-        return FocalSet(self.domain, tuple(set(full.configs) - self.config_set))
+        return FocalSet(cat, self.domain, FocalSet.full(cat, self.domain).mask ^ self.mask)
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return self.mask.bit_count()
+
+
+_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _indices(mask: int) -> list[int]:
+    """The positions of ``mask``'s set bits, lowest first."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BYTES)))
+
+
+def _compare_focal(x: tuple[FocalSet, float], y: tuple[FocalSet, float]) -> int:
+    """Order ``(focal set, mass)`` pairs as the sets' sorted member tuples: at
+    the lowest bit where two masks differ, the set holding it comes first,
+    unless the other has no member above it and so is a prefix of it."""
+    a, b = x[0].mask, y[0].mask
+    low = (a ^ b) & -(a ^ b)
+    if not low:
+        return 0
+    if a & low:
+        return -1 if b >= low << 1 else 1
+    return 1 if a >= low << 1 else -1
+
+
+_TUPLE_ORDER = cmp_to_key(_compare_focal)
 
 
 class SetPotential(Frozen):
@@ -108,9 +142,7 @@ class SetPotential(Frozen):
                  conflict: float | None = None):
         for fs, mass in focal:
             if fs.domain != domain:
-                raise DomainError(
-                    f"focal set over {fs.domain} in potential over {domain}"
-                )
+                raise DomainError(f"focal set over {fs.domain} in potential over {domain}")
             if not mass > 0:  # nan too
                 raise MassError(f"non-positive mass {mass}")
         object.__setattr__(self, "catalog", catalog)
@@ -118,7 +150,7 @@ class SetPotential(Frozen):
         object.__setattr__(self, "focal", focal)
         object.__setattr__(self, "kind", kind)
         if conflict is None:  # not conditioned: the empty set's own mass
-            conflict = math.fsum(mass for fs, mass in focal if not fs.configs)
+            conflict = math.fsum(mass for fs, mass in focal if not fs.mask)
         object.__setattr__(self, "conflict", conflict)
 
     @cached_property
@@ -132,7 +164,7 @@ class SetPotential(Frozen):
         return math.fsum(m for _, m in self.focal)
 
     def empty_mass(self) -> float:
-        return self.mass(FocalSet.empty(self.domain))
+        return self.mass(FocalSet.empty(self.catalog, self.domain))
 
 
 def set_potential(
@@ -150,7 +182,7 @@ def set_potential(
             raise MassError(f"negative mass {mass}")
         merged[fs] = merged.get(fs, 0.0) + mass
     cleaned = {fs: m for fs, m in merged.items() if not comparator.is_zero(m)}
-    ordered = tuple(sorted(cleaned.items(), key=lambda kv: kv[0].configs))
+    ordered = tuple(sorted(cleaned.items(), key=_TUPLE_ORDER))
     if kind == BPA:
         total = math.fsum(cleaned.values())
         if not comparator.eq(total, 1.0):
@@ -165,21 +197,19 @@ def vacuous(cat: VariableCatalog, domain: Domain) -> SetPotential:
     return set_potential(cat, domain, [(FocalSet.full(cat, domain), 1.0)], BPA)
 
 
-def _cylinder(cat: VariableCatalog, d: Domain, t: Domain, cap: int | None):
-    """Sets of ``d``'s configurations to their cylinders over ``t`` (``d <= t``)."""
-    fibres: dict[tuple, list] = {}
-    restrict = dm.restrictor(t, d)
-    for values in dm.config_values(cat, t, cap):
-        fibres.setdefault(restrict(values), []).append(values)
+def _fibres(cat: VariableCatalog, big: Domain, sub: Domain) -> tuple[int, dict[int, int]]:
+    """The fibres in ``big`` of the configurations of ``sub <= big``, as one
+    mask and each fibre's lowest index: fibre j is ``base << offsets[j]``,
+    since a row-major index is a sum of one term per variable."""
+    n = cat.config_count(sub, cap=None)
+    index = dm.restriction_index_map(cat, big, sub, tuple(range(n)))
+    base = int(bytes(b"01"[j == 0] for j in reversed(index)), 2)
+    return base, dict(zip(reversed(index), reversed(range(len(index)))))  # each j's lowest
 
-    def cylinder(configs):
-        try:
-            return frozenset().union(*map(fibres.__getitem__, configs))
-        except KeyError as exc:  # only a value past its frame misses
-            raise DomainError(
-                f"configuration {exc.args[0]} is out of range for {d}"
-            ) from None
-    return cylinder
+
+def _cylinder(mask: int, base: int, offsets: dict[int, int]) -> int:
+    """The union of the fibres of ``mask``'s members."""
+    return reduce(operator.or_, (base << offsets[j] for j in _indices(mask)), 0)
 
 
 def combine_potentials(
@@ -198,16 +228,17 @@ def _meets(m1: SetPotential, m2: SetPotential, cap: int | None):
     """The union domain and each focal pair's meet there, with its summed mass."""
     if m1.catalog != m2.catalog:
         raise MismatchError("potentials use different catalogs")
-    u = m1.domain | m2.domain
-    cyl1, cyl2 = (_cylinder(m1.catalog, m.domain, u, cap) for m in (m1, m2))
-    right = [(cyl2(fs.configs), mass) for fs, mass in m2.focal]
-    out: dict[frozenset, float] = {}
+    cat, u = m1.catalog, m1.domain | m2.domain
+    cat.config_count(u, cap=cap)
+    fibres1, fibres2 = (_fibres(cat, u, m.domain) for m in (m1, m2))
+    right = [(_cylinder(fs.mask, *fibres2), mass) for fs, mass in m2.focal]
+    out: dict[int, float] = {}
     for fs, mass1 in m1.focal:
-        s1 = cyl1(fs.configs)
+        s1 = _cylinder(fs.mask, *fibres1)
         for s2, mass2 in right:
             meet = s1 & s2
             out[meet] = out.get(meet, 0.0) + mass1 * mass2
-    return u, [(FocalSet(u, tuple(meet)), mass) for meet, mass in out.items()]
+    return u, [(FocalSet(cat, u, meet), mass) for meet, mass in out.items()]
 
 
 def transport_potential(
@@ -220,13 +251,13 @@ def transport_potential(
         return m
     cat.config_count(m.domain | t, cap=cap)
     shared = m.domain & t
-    restrict = dm.restrictor(m.domain, shared)
-    out: dict[frozenset, float] = {}
-    for fs, mass in m.focal:
-        image = frozenset(map(restrict, fs.configs))
+    base, offsets = _fibres(cat, m.domain, shared)
+    out: dict[int, float] = {}
+    for fs, mass in m.focal:  # the image holds each fibre the set meets
+        image = sum(1 << j for j, off in offsets.items() if fs.mask >> off & base)
         out[image] = out.get(image, 0.0) + mass
-    cyl = _cylinder(cat, shared, t, None)
-    items = [(FocalSet(t, tuple(cyl(image))), mass) for image, mass in out.items()]
+    up = _fibres(cat, t, shared)
+    items = [(FocalSet(cat, t, _cylinder(image, *up)), mass) for image, mass in out.items()]
     return set_potential(cat, t, items, RAW)
 
 
@@ -245,14 +276,13 @@ def dempster_combine(
         if acc.kind != BPA or m.kind != BPA:
             raise MassError("dempster_combine expects bpa-flagged potentials")
         u, items = _meets(acc, m, cap)
-        conflict = sum(mass for fs, mass in items if not fs.configs)
+        conflict = sum(mass for fs, mass in items if not fs.mask)
         if comparator.eq(conflict, 1.0) or conflict > 1.0:
             raise TotalConflictError(
                 f"operands are fully contradictory (conflict {format_value(conflict)})"
             )
-        scale = math.fsum(mass for fs, mass in items if fs.configs)
-        items = sorted(((fs, mass / scale) for fs, mass in items if fs.configs),
-                       key=lambda kv: kv[0].configs)
+        scale = math.fsum(mass for fs, mass in items if fs.mask)
+        items = sorted(((fs, mass / scale) for fs, mass in items if fs.mask), key=_TUPLE_ORDER)
         acc, kept = SetPotential(acc.catalog, u, tuple(items), BPA), kept * (1.0 - conflict)
     result = set_potential(acc.catalog, acc.domain, acc.focal, BPA, comparator=comparator)
     return SetPotential(result.catalog, result.domain, result.focal, BPA, 1.0 - kept)
@@ -262,28 +292,21 @@ def mass_to_belief(m: SetPotential, s: FocalSet) -> float:
     """Total mass of focal sets contained in ``s``."""
     if s.domain != m.domain:
         raise DomainError(f"hypothesis over {s.domain}, potential over {m.domain}")
-    target = s.config_set
-    return math.fsum(
-        mass for fs, mass in m.focal if fs.config_set <= target
-    )
+    return math.fsum(mass for fs, mass in m.focal if fs.mask | s.mask == s.mask)
 
 
 def mass_to_commonality(m: SetPotential, s: FocalSet) -> float:
     """Total mass of focal sets containing ``s``."""
     if s.domain != m.domain:
         raise DomainError(f"hypothesis over {s.domain}, potential over {m.domain}")
-    target = s.config_set
-    return math.fsum(
-        mass for fs, mass in m.focal if fs.config_set >= target
-    )
+    return math.fsum(mass for fs, mass in m.focal if fs.mask & s.mask == s.mask)
 
 
 def all_focal_sets(cat: VariableCatalog, domain: Domain,
                    cap: int | None = DEFAULT_SUBSET_CAP) -> list[FocalSet]:
     """All ``2^k`` subsets of the frame, ordered by bitmask."""
     k = _frame_size(cat, domain, cap)
-    configs = dm.config_values(cat, domain)
-    return [FocalSet(domain, _members(configs, mask)) for mask in range(1 << k)]
+    return [FocalSet(cat, domain, mask) for mask in range(1 << k)]
 
 
 def _frame_size(cat: VariableCatalog, domain: Domain, cap: int | None) -> int:
@@ -292,11 +315,6 @@ def _frame_size(cat: VariableCatalog, domain: Domain, cap: int | None) -> int:
     if cap is not None and k > cap:
         raise CapacityError(f"frame of {domain} has {k} > {cap} configurations")
     return k
-
-
-def _members(configs: list, mask: int) -> tuple:
-    """The configurations whose bits ``mask`` holds."""
-    return tuple(values for i, values in enumerate(configs) if mask >> i & 1)
 
 
 def _subset_pass(f: list, k: int, op, superset: bool) -> None:
@@ -326,26 +344,19 @@ def _subset_pass(f: list, k: int, op, superset: bool) -> None:
 
 def subset_tables(m: SetPotential, cap: int | None = DEFAULT_SUBSET_CAP
                   ) -> tuple[list[float], list[float]]:
-    """The belief and commonality of every subset of the frame, by bitmask.
+    """The belief and commonality of every subset of the frame, by its mask.
 
-    Bit i stands for the i-th configuration of ``config_values``, the order
-    of :func:`all_focal_sets`.  Each entry is the ``fsum`` of the same focal
-    masses that :func:`mass_to_belief` and :func:`mass_to_commonality` add
-    up: the focal sets below (above) every mask are found as integer sets of
-    focal indices by an OR pass over the subset lattice, and each distinct
-    set of focal indices is summed once.
+    Each entry is the ``fsum`` of the same focal masses that
+    :func:`mass_to_belief` and :func:`mass_to_commonality` add up: the focal
+    sets below (above) every mask are found as integer sets of focal indices
+    by an OR pass over the subset lattice, and each distinct set of focal
+    indices is summed once.
     """
     cat, domain = m.catalog, m.domain
     k = _frame_size(cat, domain, cap)
-    bit = {values: 1 << i for i, values in enumerate(dm.config_values(cat, domain))}
     below = [0] * (1 << k)
     for i, (fs, _) in enumerate(m.focal):
-        try:
-            below[sum(map(bit.__getitem__, fs.configs))] |= 1 << i
-        except KeyError as exc:
-            raise DomainError(
-                f"configuration {exc.args[0]} is out of range for {domain}"
-            ) from None
+        below[fs.mask] |= 1 << i
     above = below.copy()
     _subset_pass(below, k, operator.or_, superset=False)
     _subset_pass(above, k, operator.or_, superset=True)
@@ -360,27 +371,24 @@ def _moebius_invert(cat: VariableCatalog, domain: Domain,
                     comparator: Comparator, superset: bool) -> SetPotential:
     """Invert a full table over all subsets of the frame to the masses.
 
-    ``table`` is in bitmask order (bit i is the i-th configuration of
-    ``config_values``), or a mapping from every subset to its entry.  One
-    frame configuration (bit) at a time, every set holding it (or, for
+    ``table`` is in mask order, or a mapping from every subset to its entry.
+    One frame configuration (bit) at a time, every set holding it (or, for
     ``superset``, lacking it) subtracts the entry of the set that differs
     from it in that bit alone.
     """
     k = _frame_size(cat, domain, cap)
-    configs = dm.config_values(cat, domain)
     if len(table) != 1 << k:
         raise MassError(f"table has {len(table)} entries, expected {1 << k}")
     if isinstance(table, Mapping):
         f = [None] * (1 << k)
-        bit = {values: 1 << i for i, values in enumerate(configs)}
         for fs, value in table.items():
-            if fs.domain != domain or not bit.keys() >= fs.config_set:
+            if fs.domain != domain or fs.mask >> k:
                 raise MassError("table does not cover every subset of the frame")
-            f[sum(map(bit.__getitem__, fs.configs))] = float(value)
+            f[fs.mask] = float(value)
     else:
         f = list(map(float, table))
     _subset_pass(f, k, operator.sub, superset)
-    items = [(FocalSet(domain, _members(configs, mask)), v)
+    items = [(FocalSet(cat, domain, mask), v)
              for mask, v in enumerate(f) if not comparator.is_zero(v)]
     return set_potential(cat, domain, items, RAW, comparator=comparator)
 
@@ -443,8 +451,5 @@ def degree_of_plausibility(
     conflict = m.empty_mass()
     if comparator.eq(conflict, total):
         raise TotalConflictError("potential is fully contradictory")
-    target = h.config_set
-    possible = math.fsum(
-        mass for fs, mass in m.focal if fs.config_set & target
-    )
+    possible = math.fsum(mass for fs, mass in m.focal if fs.mask & h.mask)
     return possible / (total - conflict)

@@ -17,7 +17,7 @@ import time
 from typing import TYPE_CHECKING
 
 from .compare import Comparator, DEFAULT_COMPARATOR
-from .domains import DEFAULT_CONFIG_CAP, Domain, config_values
+from .domains import DEFAULT_CONFIG_CAP, Domain
 from .errors import CapabilityError, DomainError, ParseError, SemivalError
 from .model import Model, focal_texts, parse_model, render_model
 from .semiring import format_value
@@ -220,9 +220,9 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
         for name, pot in model.potentials:
             btable, qtable = bf.subset_tables(pot, cap)
             lines.append(f"moebius {name} {pot.domain}: {len(btable)} subsets")
-            configs = config_values(model.catalog, pot.domain)
-            texts = focal_texts(model.catalog,
-                                [bf.FocalSet(pot.domain, (values,)) for values in configs])
+            singletons = [bf.FocalSet(pot.catalog, pot.domain, 1 << i)
+                          for i in range(pot.catalog.config_count(pot.domain))]
+            texts = focal_texts(model.catalog, singletons)
             # depth first over member indices: configurations are numbered
             # in tuple order, so subsets come in the order of their tuples
             stack = [(0, "", 0)]

@@ -19,7 +19,6 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
@@ -209,14 +208,6 @@ def config_values(
     cat.check_domain(d)
     cat.config_count(d, cap=cap)
     return list(itertools.product(*(range(cat.size(name)) for name in d.names)))
-
-
-def restrictor(big: Domain, sub: Domain):
-    """The map of a configuration of ``big`` to its restriction to ``sub <= big``."""
-    pos = [big.names.index(name) for name in sub.names]
-    if len(pos) > 1:
-        return operator.itemgetter(*pos)
-    return operator.itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
 
 
 def _repeat_blocks(seq: tuple, length: int, times: int) -> tuple:

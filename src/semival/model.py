@@ -448,15 +448,19 @@ def focal_texts(cat: VariableCatalog, sets: Sequence[FocalSet]) -> list[str]:
     only for configurations that ``sets`` hold; a report makes one call for
     all the sets it prints.  Nothing is cached between calls.
     """
-    configs: dict[Domain, set] = {}
+    if not sets:
+        return []
+    from .belief import FocalSet  # loaded already: ``sets`` are its instances
+    held: dict[Domain, int] = {}
     for fs in sets:
-        configs.setdefault(fs.domain, set()).update(fs.configs)
+        held[fs.domain] = held.get(fs.domain, 0) | fs.mask
     texts = {}
-    for domain, distinct in configs.items():
+    for domain, mask in held.items():
         frames = [cat.frame(n) for n in domain.names]
-        texts[domain] = {values: "(" + " ".join(map(getitem, frames, values)) + ")"
-                         for values in distinct}
-    return [" ".join(map(texts[fs.domain].__getitem__, fs.configs)) for fs in sets]
+        union = FocalSet(cat, domain, mask)
+        texts[domain] = {i: "(" + " ".join(map(getitem, frames, values)) + ")"
+                         for i, values in zip(union.indices, union.configs)}
+    return [" ".join(map(texts[fs.domain].__getitem__, fs.indices)) for fs in sets]
 
 
 def render_model(model: Model) -> str:
@@ -477,7 +481,7 @@ def render_model(model: Model) -> str:
     text_of = dict(zip(sets, focal_texts(cat, sets)))
 
     def after_colon(fs: FocalSet) -> str:
-        return " :" + (" " + text_of[fs] if fs.configs else "")
+        return " :" + (" " + text_of[fs] if fs.mask else "")
 
     for name, val in model.factors:
         out.append(head("factor", name, val.domain))

@@ -74,7 +74,7 @@ def random_bpa(rng: random.Random, cat, domain, max_focal=4):
     items = {}
     for m in masses:
         size = rng.randint(1, len(full))
-        fs = sv.FocalSet(domain, tuple(rng.sample(list(full), size)))
+        fs = sv.FocalSet.of(cat, domain, rng.sample(list(full), size))
         items[fs] = items.get(fs, 0.0) + m / total
     return sv.set_potential(cat, domain, list(items.items()), "bpa")
 
@@ -85,10 +85,10 @@ def random_mass_function(rng: random.Random, cat, domain, allow_empty=True):
 
     subsets = all_focal_sets(cat, domain)
     if not allow_empty:
-        subsets = [s for s in subsets if s.configs]
+        subsets = [s for s in subsets if s.mask]
     chosen = rng.sample(subsets, rng.randint(1, min(5, len(subsets))))
-    if not any(s.configs for s in chosen):
-        chosen.append(rng.choice([s for s in subsets if s.configs]))
+    if not any(s.mask for s in chosen):
+        chosen.append(rng.choice([s for s in subsets if s.mask]))
     masses = [rng.random() + 0.05 for _ in chosen]
     total = sum(masses)
     return sv.set_potential(cat, domain, [(s, m / total) for s, m in zip(chosen, masses)])

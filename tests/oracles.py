@@ -6,6 +6,7 @@ so they can referee the dense-table implementations.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
 from semival import domains as dm
@@ -258,6 +259,15 @@ def odometer_enumerate_configs(cat, d, cap=dm.DEFAULT_CONFIG_CAP):
     return out
 
 
+# The tuple restriction the restriction index maps are checked against.
+def restrictor(big, sub):
+    """The map of a configuration of ``big`` to its restriction to ``sub <= big``."""
+    pos = [big.names.index(name) for name in sub.names]
+    if len(pos) > 1:
+        return operator.itemgetter(*pos)
+    return operator.itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
+
+
 def fold_join_of(domains):
     """The join as a left fold of ``|``, re-sorting the growing union each step."""
     out = EMPTY_DOMAIN
@@ -393,9 +403,9 @@ def markov_check_direct(tree) -> bool:
 # --- index-map set potentials ------------------------------------------------
 # Set-potential combination and transport as first written: focal sets as
 # row-major index sets, one scan of the whole union frame per focal pair (per
-# focal set in transport) through two restriction maps, and a decode back to
-# configuration tuples.  The package's cylinder forms must give the same focal
-# tuples, bit for bit.  The maps are the odometer ones above.
+# focal set in transport) through two restriction maps, and a mask built back
+# from each index set.  The package's cylinder forms must give the same focal
+# sets, bit for bit.  The maps are the odometer ones above.
 
 def _index_sets(cat, p):
     st = _strides(cat, p.domain)
@@ -406,9 +416,9 @@ def _index_sets(cat, p):
     return out
 
 
-def _from_indices(domain, configs, indices):
-    """The focal set of ``domain`` at row-major ``indices`` into its ``configs``."""
-    return FocalSet(domain, tuple(configs[i] for i in sorted(indices)))
+def _from_indices(cat, domain, indices):
+    """The focal set of ``domain`` holding the configurations at row-major ``indices``."""
+    return FocalSet(cat, domain, sum(1 << i for i in indices))
 
 
 def index_map_combine_potentials(m1, m2, cap=dm.DEFAULT_CONFIG_CAP):
@@ -429,7 +439,7 @@ def index_map_combine_potentials(m1, m2, cap=dm.DEFAULT_CONFIG_CAP):
                 i for i in range(n) if r1[i] in s1 and r2[i] in s2
             )
             out[meet] = out.get(meet, 0.0) + mass1 * mass2
-    items = [(_from_indices(u, configs, idx), mass) for idx, mass in out.items()]
+    items = [(_from_indices(cat, u, idx), mass) for idx, mass in out.items()]
     return set_potential(cat, u, items, RAW)
 
 
@@ -441,14 +451,13 @@ def index_map_transport_potential(m, t, cap=dm.DEFAULT_CONFIG_CAP):
         return m
     u = m.domain | t
     n = cat.config_count(u, cap=cap)
-    configs = dm.config_values(cat, t, cap=None)
     rd = odometer_index_map(cat, u, m.domain)
     rt = odometer_index_map(cat, u, t)
     out = {}
     for s, mass in _index_sets(cat, m):
         image = frozenset(rt[i] for i in range(n) if rd[i] in s)
         out[image] = out.get(image, 0.0) + mass
-    items = [(_from_indices(t, configs, idx), mass) for idx, mass in out.items()]
+    items = [(_from_indices(cat, t, idx), mass) for idx, mass in out.items()]
     return set_potential(cat, t, items, RAW)
 
 

@@ -313,16 +313,16 @@ def test_criterion_6_belief_functions():
             if abs(pl - (1 - sp[h.complement(cat3)])) > 1e-9:
                 problems.append("duality")
         for h in subsets:
-            inner = [g for g in subsets if g.config_set <= h.config_set]
+            inner = [g for g in subsets if g.mask | h.mask == h.mask]
             for k in (1, 2, 3):
                 for combo in itertools.combinations(inner, k):
                     bound = 0.0
                     for r in range(1, k + 1):
                         for picked in itertools.combinations(combo, r):
-                            meet = picked[0].config_set
+                            meet = picked[0].mask
                             for g in picked[1:]:
-                                meet &= g.config_set
-                            bound += (-1) ** (r + 1) * sp[sv.FocalSet(W, tuple(meet))]
+                                meet &= g.mask
+                            bound += (-1) ** (r + 1) * sp[sv.FocalSet(cat3, W, meet)]
                     if sp[h] < bound - 1e-9:
                         problems.append("inclusion-exclusion")
 

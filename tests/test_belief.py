@@ -6,6 +6,7 @@ import pytest
 
 import semival as sv
 from semival.belief import all_focal_sets
+from semival.domains import config_values
 from semival.errors import CapacityError, DomainError, MassError, TotalConflictError
 from semival.semiring import format_value
 
@@ -35,9 +36,9 @@ def worked_pair(ab):
 
 def test_focal_set_canonicalization(ab):
     cat, U, fs = ab
-    f = sv.FocalSet(U, ((1,), (0,), (1,)))
+    f = sv.FocalSet.of(cat, U, [(1,), (0,), (1,)])
     assert f.configs == ((0,), (1,))
-    assert len(sv.FocalSet.empty(U)) == 0
+    assert len(sv.FocalSet.empty(cat, U)) == 0
     assert fs("a", "b").complement(cat).configs == ()
     assert fs("a").complement(cat) == fs("b")
     with pytest.raises(DomainError):
@@ -63,7 +64,7 @@ def test_combine_worked_example(worked_pair):
     raw = sv.combine_potentials(m1, m2)
     assert raw.kind == "raw"
     expect = {
-        sv.FocalSet.empty(U): 0.30,
+        sv.FocalSet.empty(cat, U): 0.30,
         fs("a"): 0.30,
         fs("b"): 0.20,
         fs("a", "b"): 0.20,
@@ -77,8 +78,8 @@ def test_combine_with_vacuous_cylindrifies(ab):
     cat, U, fs = ab
     cat2 = sv.VariableCatalog.of({"u": ("a", "b"), "v": ("0", "1")})
     UU, VV = cat2.domain("u"), cat2.domain("v")
-    m = sv.set_potential(cat2, UU, [(sv.FocalSet(UU, ((0,),)), 0.7),
-                                    (sv.FocalSet(UU, ((0,), (1,))), 0.3)], "bpa")
+    m = sv.set_potential(cat2, UU, [(sv.FocalSet.of(cat2, UU, [(0,)]), 0.7),
+                                    (sv.FocalSet.of(cat2, UU, [(0,), (1,)]), 0.3)], "bpa")
     out = sv.combine_potentials(m, sv.vacuous(cat2, VV))
     assert out.domain == cat2.domain("u", "v")
     moved = sv.transport_potential(m, cat2.domain("u", "v"))
@@ -109,12 +110,12 @@ def test_combine_against_brute_force():
             for f2, mass2 in m2.focal:
                 cyl = frozenset(
                     c for c, value in union_configs
-                    if tuple(map(value.get, d1.names)) in f1.config_set
-                    and tuple(map(value.get, d2.names)) in f2.config_set
+                    if tuple(map(value.get, d1.names)) in f1.configs
+                    and tuple(map(value.get, d2.names)) in f2.configs
                 )
                 expect[cyl] = expect.get(cyl, 0.0) + mass1 * mass2
         for fset, mass in expect.items():
-            assert abs(got.mass(sv.FocalSet(u, tuple(fset))) - mass) < 1e-9
+            assert abs(got.mass(sv.FocalSet.of(cat, u, fset)) - mass) < 1e-9
 
 
 def _domain_pair(rng, cat, shape):
@@ -139,8 +140,8 @@ def _random_potential(rng, cat, domain):
     if rng.random() < 0.25:
         return helpers.random_bpa(rng, cat, domain)
     frame = sv.FocalSet.full(cat, domain).configs
-    items = [(sv.FocalSet(domain, tuple(rng.sample(frame, 0 if rng.random() < 0.3
-                                                    else rng.randint(1, len(frame))))),
+    items = [(sv.FocalSet.of(cat, domain, rng.sample(frame, 0 if rng.random() < 0.3
+                                                     else rng.randint(1, len(frame)))),
               rng.random() + 0.05)
              for _ in range(rng.randint(1, 5))]
     return sv.set_potential(cat, domain, items)
@@ -187,32 +188,47 @@ def test_combine_and_transport_honour_cap():
 
 
 def test_out_of_range_value_is_a_domain_error():
-    """A value past its variable's frame is named, with its configuration,
-    where the cylinder lookup misses: no bare ``KeyError``."""
+    """A value past its variable's frame is named where the focal set is
+    built, so no such set reaches combination or transport."""
     cat = sv.VariableCatalog.of({"u": ("a", "b"), "v": ("a", "b")})
-    U, V, UV = cat.domain("u"), cat.domain("v"), cat.domain("u", "v")
-    bad = sv.set_potential(cat, U, [(sv.FocalSet(U, ((0,), (7,))), 1.0)], "bpa")
-    for call in (lambda: sv.combine_potentials(bad, sv.vacuous(cat, V)),
-                 lambda: sv.combine_potentials(sv.vacuous(cat, UV), bad),
-                 lambda: sv.transport_potential(bad, UV)):
-        with pytest.raises(DomainError, match=r"configuration \(7,\) is out of range"):
-            call()
+    U, UV = cat.domain("u"), cat.domain("u", "v")
+    for domain, configs, bad in ((U, [(0,), (7,)], (7,)), (UV, [(1, 1), (-1, 0)], (-1, 0)),
+                                 (UV, [(0,)], (0,)), (UV, [(0, 0, 0)], (0, 0, 0))):
+        with pytest.raises(DomainError) as exc:
+            sv.FocalSet.of(cat, domain, configs)
+        assert str(exc.value) == f"configuration {bad} is outside the frame of {domain}"
+
+
+def test_focal_sets_past_the_frame_are_refused():
+    """The focal set ``((0, 7),)`` on binary ``{u v}`` cannot be built, from
+    tuples or as a mask: neither a mask with a bit at or past the frame's
+    configuration count nor a negative one."""
+    cat = sv.VariableCatalog.of({"u": ("a", "b"), "v": ("a", "b")})
+    UV = cat.domain("u", "v")
+    with pytest.raises(DomainError, match=r"configuration \(0, 7\) is outside the frame"):
+        sv.FocalSet.of(cat, UV, [(0, 7)])
+    for mask in (1 << 4, 0b11111, 1 << 64, -1):
+        with pytest.raises(DomainError, match=r"mask does not fit the 4 configurations of \{u"):
+            sv.FocalSet(cat, UV, mask)
+    assert sv.FocalSet(cat, UV, 0b1111) == sv.FocalSet.full(cat, UV)
+    with pytest.raises(DomainError, match="unknown variable 'w'"):
+        sv.FocalSet(cat, sv.Domain.of("w"), 0)
 
 
 def test_transport_examples():
     cat = sv.VariableCatalog.of({"x": ("0", "1"), "y": ("0", "1")})
     XY, X = cat.domain("x", "y"), cat.domain("x")
-    m = sv.set_potential(cat, XY, [(sv.FocalSet(XY, ((0, 0), (0, 1))), 1.0)], "bpa")
+    m = sv.set_potential(cat, XY, [(sv.FocalSet.of(cat, XY, [(0, 0), (0, 1)]), 1.0)], "bpa")
     assert sv.transport_potential(m, XY) is m
     down = sv.transport_potential(m, X)
-    assert down.focal == ((sv.FocalSet(X, ((0,),)), 1.0),)
+    assert down.focal == ((sv.FocalSet.of(cat, X, [(0,)]), 1.0),)
     # two distinct focal sets with the same projection merge
     m2 = sv.set_potential(cat, XY, [
-        (sv.FocalSet(XY, ((0, 0),)), 0.5),
-        (sv.FocalSet(XY, ((0, 1),)), 0.5),
+        (sv.FocalSet.of(cat, XY, [(0, 0)]), 0.5),
+        (sv.FocalSet.of(cat, XY, [(0, 1)]), 0.5),
     ], "bpa")
     merged = sv.transport_potential(m2, X)
-    assert merged.focal == ((sv.FocalSet(X, ((0,),)), 1.0),)
+    assert merged.focal == ((sv.FocalSet.of(cat, X, [(0,)]), 1.0),)
 
 
 def test_dempster_worked_example(worked_pair):
@@ -261,7 +277,7 @@ def test_dempster_commutative_associative():
 def _near_certain_bpa(rng, cat, domain, eps):
     """Mass ``1 - eps`` on one random configuration, ``eps`` on the frame."""
     full = sv.FocalSet.full(cat, domain)
-    fs = sv.FocalSet(domain, (rng.choice(full.configs),))
+    fs = sv.FocalSet.of(cat, domain, [rng.choice(full.configs)])
     return sv.set_potential(cat, domain, [(fs, 1.0 - eps), (full, eps)], "bpa")
 
 
@@ -392,15 +408,44 @@ def _random_potentials(rng, count):
         if (made + made // len(FRAME_SHAPES)) % 2:  # each shape gets both kinds
             yield cat, d, helpers.random_bpa(rng, cat, d, max_focal=6)
             continue
-        sets = [sv.FocalSet(d, tuple(rng.sample(configs, rng.randint(1, len(configs)))))
+        sets = [sv.FocalSet.of(cat, d, rng.sample(configs, rng.randint(1, len(configs))))
                 for _ in range(rng.randint(1, 6))]
         if rng.random() < 0.5:
-            sets.append(sv.FocalSet.empty(d))
+            sets.append(sv.FocalSet.empty(cat, d))
         yield cat, d, sv.set_potential(cat, d, [(fs, rng.random() + 0.01) for fs in sets])
 
 
 def _subset_of(configs, mask):
     return tuple(values for i, values in enumerate(configs) if mask >> i & 1)
+
+
+def test_masks_decode_and_build_back():
+    """On random masks over frames of 1-12 configurations, the decoded
+    configurations are the members in tuple order, they build the same set
+    back with the same hash, and ``len`` is the popcount."""
+    rng = random.Random(19)
+    for shape in FRAME_SHAPES:
+        cat = sv.VariableCatalog.of({f"v{i}": tuple("abcd"[:n]) for i, n in enumerate(shape)})
+        d = cat.domain(*(v.name for v in cat.variables))
+        frame = config_values(cat, d)
+        for mask in {0, (1 << len(frame)) - 1, *(rng.getrandbits(len(frame)) for _ in range(40))}:
+            fs = sv.FocalSet(cat, d, mask)
+            assert fs.configs == _subset_of(frame, mask)
+            back = sv.FocalSet.of(cat, d, fs.configs)
+            assert back == fs and hash(back) == hash(fs) and back.mask == mask
+            assert len(fs) == bin(mask).count("1") == len(fs.configs)
+
+
+def test_focal_order_is_the_member_tuple_order():
+    """All 512 subsets of a 9-configuration frame, given in a shuffled order,
+    come out of ``set_potential`` in the order of their member tuples."""
+    cat = sv.VariableCatalog.of({"p": ("a", "b", "c"), "q": ("a", "b", "c")})
+    d = cat.domain("p", "q")
+    sets = all_focal_sets(cat, d)
+    random.Random(20).shuffle(sets)
+    pot = sv.set_potential(cat, d, [(fs, 1.0) for fs in sets])
+    got = [fs.configs for fs, _ in pot.focal]
+    assert len(got) == 512 and got == sorted(fs.configs for fs in sets)
 
 
 def test_subset_tables_match_the_per_subset_queries():
@@ -435,7 +480,7 @@ def test_slice_inversion_matches_the_per_mask_loop():
                                            (sv.belief_to_mass, sv.commonality_to_mass),
                                            (False, True)):
             want = oracles.per_mask_moebius_invert(table, k, superset)
-            kept = [(sv.FocalSet(d, _subset_of(configs, mask)), v)
+            kept = [(sv.FocalSet.of(cat, d, _subset_of(configs, mask)), v)
                     for mask, v in enumerate(want) if not sv.DEFAULT_COMPARATOR.is_zero(v)]
             got = invert(cat, d, table)
             assert got.focal == sv.set_potential(cat, d, kept).focal
@@ -444,6 +489,7 @@ def test_slice_inversion_matches_the_per_mask_loop():
 
 def test_mapping_and_bitmask_tables_invert_alike():
     rng = random.Random(18)
+    elsewhere = sv.VariableCatalog.of({"elsewhere": ("0",)})
     for cat, d, m in _random_potentials(rng, 30):
         subsets = all_focal_sets(cat, d)
         for table, invert in zip(sv.subset_tables(m),
@@ -452,7 +498,8 @@ def test_mapping_and_bitmask_tables_invert_alike():
             assert invert(cat, d, by_set).focal == invert(cat, d, table).focal
             with pytest.raises(MassError, match="does not cover every subset"):
                 invert(cat, d, {**dict(list(by_set.items())[:-1]),
-                                sv.FocalSet(sv.Domain(("elsewhere",)), ((0,),)): 0.0})
+                                sv.FocalSet.of(elsewhere, sv.Domain(("elsewhere",)),
+                                               [(0,)]): 0.0})
             with pytest.raises(MassError, match="table has"):
                 invert(cat, d, dict(list(by_set.items())[1:]))
             for wrong in (table[:-1], table + [0.0]):
@@ -469,7 +516,7 @@ def test_support_and_plausibility_examples(ab):
     assert abs(sp_full - 1.0) < 1e-12
     assert abs(sv.degree_of_plausibility(m, fs("a")) - 1.0) < 1e-12
     assert abs(sv.degree_of_plausibility(m, fs("b")) - 0.7) < 1e-12
-    assert sv.degree_of_plausibility(m, sv.FocalSet.empty(U)) == 0.0
+    assert sv.degree_of_plausibility(m, sv.FocalSet.empty(cat, U)) == 0.0
     # duality against the complement
     _, sp_a = sv.degree_of_support(m, fs("a"))
     assert abs(sv.degree_of_plausibility(m, fs("b")) - (1 - sp_a)) < 1e-12
@@ -489,7 +536,7 @@ def test_support_of_conflicted_raw_potential(worked_pair):
 
 def test_fully_contradictory_potential_errors(ab):
     cat, U, fs = ab
-    dead = sv.set_potential(cat, U, [(sv.FocalSet.empty(U), 1.0)])
+    dead = sv.set_potential(cat, U, [(sv.FocalSet.empty(cat, U), 1.0)])
     with pytest.raises(TotalConflictError):
         sv.degree_of_support(dead, fs("a"))
     with pytest.raises(TotalConflictError):
@@ -519,7 +566,7 @@ def test_support_monotone():
         m = helpers.random_mass_function(rng, cat, W)
         subsets = all_focal_sets(cat, W)
         for h1, h2 in itertools.product(subsets, repeat=2):
-            if h1.config_set <= h2.config_set:
+            if h1.mask | h2.mask == h2.mask:
                 assert sv.degree_of_support(m, h1)[1] <= \
                     sv.degree_of_support(m, h2)[1] + 1e-12
 
@@ -533,16 +580,16 @@ def test_support_monotone_of_order_infinity():
         m = helpers.random_mass_function(rng, cat, W)
         sp = {h: sv.degree_of_support(m, h)[1] for h in subsets}
         for h in subsets:
-            inner = [g for g in subsets if g.config_set <= h.config_set]
+            inner = [g for g in subsets if g.mask | h.mask == h.mask]
             for k in (1, 2, 3):
                 for hs in itertools.combinations(inner, k):
                     bound = 0.0
                     for r in range(1, k + 1):
                         for picked in itertools.combinations(hs, r):
-                            meet = picked[0].config_set
+                            meet = picked[0].mask
                             for g in picked[1:]:
-                                meet = meet & g.config_set
-                            bound += (-1) ** (r + 1) * sp[sv.FocalSet(W, tuple(meet))]
+                                meet = meet & g.mask
+                            bound += (-1) ** (r + 1) * sp[sv.FocalSet(cat, W, meet)]
                     assert sp[h] >= bound - 1e-9
 
 
@@ -553,13 +600,12 @@ def test_quasi_support_of_meet_counts_common_refinements(ab):
         m = helpers.random_mass_function(rng, cat, cat.domain("u"))
         for h1 in all_focal_sets(cat, cat.domain("u")):
             for h2 in all_focal_sets(cat, cat.domain("u")):
-                meet = sv.FocalSet(cat.domain("u"),
-                                   tuple(h1.config_set & h2.config_set))
+                meet = sv.FocalSet(cat, cat.domain("u"), h1.mask & h2.mask)
                 direct = sv.degree_of_quasi_support(m, meet)
                 both = sum(
                     mass for f, mass in m.focal
-                    if f.config_set <= h1.config_set
-                    and f.config_set <= h2.config_set
+                    if f.mask | h1.mask == h1.mask
+                    and f.mask | h2.mask == h2.mask
                 )
                 assert abs(direct - both) < 1e-12
 
@@ -588,12 +634,12 @@ def test_single_singleton_operand_bounds_output(ab):
     cat, U, fs = ab
     cat2 = sv.VariableCatalog.of({"u": ("a", "b"), "v": ("0", "1")})
     UU, VV = cat2.domain("u"), cat2.domain("v")
-    point = sv.set_potential(cat2, UU, [(sv.FocalSet(UU, ((0,),)), 1.0)], "bpa")
+    point = sv.set_potential(cat2, UU, [(sv.FocalSet.of(cat2, UU, [(0,)]), 1.0)], "bpa")
     other = sv.set_potential(cat2, VV, [
-        (sv.FocalSet(VV, ((0,),)), 0.4),
-        (sv.FocalSet(VV, ((0,), (1,))), 0.6),
+        (sv.FocalSet.of(cat2, VV, [(0,)]), 0.4),
+        (sv.FocalSet.of(cat2, VV, [(0,), (1,)]), 0.6),
     ], "bpa")
     out = sv.combine_potentials(point, other)
     cylinder = sv.transport_potential(point, cat2.domain("u", "v"))
-    cyl_set = cylinder.focal[0][0].config_set
-    assert all(f.config_set <= cyl_set for f, _ in out.focal)
+    cyl_mask = cylinder.focal[0][0].mask
+    assert all(f.mask | cyl_mask == cyl_mask for f, _ in out.focal)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import semival as sv
-from semival.domains import config_values, restriction_index_map, restrictor
+from semival.domains import config_values, restriction_index_map
 from semival.errors import CapacityError, DomainError
 
 import helpers
 import oracles
+from oracles import restrictor
 
 
 def test_catalog_rejects_duplicates_and_empty_frames():

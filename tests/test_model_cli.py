@@ -739,6 +739,21 @@ def test_zero_tolerance_is_accepted():
     assert code == 0 and "status: ok" in out
 
 
+@pytest.mark.parametrize("stanza", [
+    "potential p on {names}\n  kind bpa\n  focal 1 : ({zeros})\nend\n",
+    "hypothesis h on {names} : ({zeros})\n",
+], ids=["potential", "hypothesis"])
+def test_focal_sets_past_the_default_cap_are_a_parse_error(stanza):
+    # a focal set is a mask with one bit per configuration: 2^25 is past 2^24
+    names = [f"b{i:02d}" for i in range(25)]
+    text = ("catalog\n" + "".join(f"  var {n} : 0 1\n" for n in names) + "end\n"
+            + stanza.format(names=" ".join(names), zeros=" ".join("0" * 25)))
+    code, out, err = _run_stdin(["render", "-"], text)
+    assert (code, out) == (2, "")
+    assert err == ("semival: error: line 28: domain {" + " ".join(names) + "} "
+                   "has more than 16777216 configurations\n")
+
+
 @pytest.mark.parametrize("op", ["combine", "support", "plausibility"])
 def test_evidence_honours_cap(op):
     code, out, _ = run_cli(["evidence", "models/evidence.sv", "--op", op])

@@ -36,8 +36,8 @@ VALUES = {
     "EliminationSequence": (lambda: sv.EliminationSequence((DX, DXY), (1,)),
                             lambda: sv.EliminationSequence(domains=(DX, DXY), b=(1,)),
                             sv.EliminationSequence((DXY, DX), (1,))),
-    "FocalSet": (lambda: sv.FocalSet(DX, ((1,), (0,))),
-                 lambda: sv.FocalSet(DX, ((0,), (1,), (0,))), sv.FocalSet(DX, ((0,),))),
+    "FocalSet": (lambda: sv.FocalSet.of(CAT, DX, [(1,), (0,)]),
+                 lambda: sv.FocalSet(CAT, DX, 0b11), sv.FocalSet.of(CAT, DX, [(0,)])),
     "Universe": (lambda: sv.Universe((1, 2, 3)), lambda: sv.Universe(elements=(1, 2, 3)),
                  sv.Universe((1, 2))),
     "Partition": (lambda: sv.Partition.of(U, [[3], [2, 1]]),
@@ -54,7 +54,7 @@ VALUES = {
 # name -> (an instance, one of its fields)
 FROZEN = {
     **{name: (make(), field) for (name, (make, _, _)), field in zip(VALUES.items(), (
-        "rel", "names", "frame", "variables", "edges", "b", "configs",
+        "rel", "names", "frame", "variables", "edges", "b", "mask",
         "elements", "blocks", "witness", "laws"))},
     "Semiring": (sv.get_instance("boolean"), "add"),
     "Valuation": (sv.Valuation(CAT, sv.get_instance("boolean"), DX, (1, 0)), "table"),
