@@ -60,7 +60,6 @@ _EXPORTS = {
         "combine_potentials",
         "commonality_to_mass",
         "degree_of_plausibility",
-        "degree_of_quasi_support",
         "degree_of_support",
         "dempster_combine",
         "mass_to_belief",
@@ -79,14 +78,13 @@ _EXPORTS = {
         "build_covering_join_tree",
         "collect",
         "distribute",
+        "first_sequence_violation",
         "hypertree_collect",
         "hypertree_distribute",
         "is_join_tree",
-        "is_markov_tree",
         "naive_solve",
         "sequence_to_join_tree",
         "tree_to_sequence",
-        "verify_hypertree_sequence",
     ),
 }
 _SUBMODULES = (*_EXPORTS, "cli", "errors", "model", "reports")

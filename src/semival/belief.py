@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property, cmp_to_key, reduce
 from itertools import compress, count
 
@@ -46,7 +46,7 @@ BPA = "bpa"
 
 class FocalSet(Frozen):
     """A set of configurations of one domain, as a mask over its frame: bit i
-    is the i-th configuration of ``config_values`` (row-major: tuple order)."""
+    is the i-th configuration in row-major order (tuple order)."""
 
     def __init__(self, catalog: VariableCatalog, domain: Domain, mask: int):
         n = catalog.config_count(domain, cap=None)
@@ -100,8 +100,9 @@ class FocalSet(Frozen):
         places = [(math.prod(sizes[j + 1:]), size) for j, size in enumerate(sizes)]
         return tuple(tuple([i // p % size for p, size in places]) for i in self.indices)
 
-    def complement(self, cat: VariableCatalog) -> "FocalSet":
-        return FocalSet(cat, self.domain, FocalSet.full(cat, self.domain).mask ^ self.mask)
+    def complement(self) -> "FocalSet":
+        full = FocalSet.full(self.catalog, self.domain)
+        return FocalSet(self.catalog, self.domain, full.mask ^ self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -302,13 +303,6 @@ def mass_to_commonality(m: SetPotential, s: FocalSet) -> float:
     return math.fsum(mass for fs, mass in m.focal if fs.mask & s.mask == s.mask)
 
 
-def all_focal_sets(cat: VariableCatalog, domain: Domain,
-                   cap: int | None = DEFAULT_SUBSET_CAP) -> list[FocalSet]:
-    """All ``2^k`` subsets of the frame, ordered by bitmask."""
-    k = _frame_size(cat, domain, cap)
-    return [FocalSet(cat, domain, mask) for mask in range(1 << k)]
-
-
 def _frame_size(cat: VariableCatalog, domain: Domain, cap: int | None) -> int:
     """The frame's configuration count k, checked against the subset cap."""
     k = cat.config_count(domain, cap=None)
@@ -367,11 +361,11 @@ def subset_tables(m: SetPotential, cap: int | None = DEFAULT_SUBSET_CAP
 
 
 def _moebius_invert(cat: VariableCatalog, domain: Domain,
-                    table: Sequence[float] | Mapping[FocalSet, float], cap: int,
+                    table: Sequence[float], cap: int,
                     comparator: Comparator, superset: bool) -> SetPotential:
-    """Invert a full table over all subsets of the frame to the masses.
+    """Invert a full table over all subsets of the frame, in mask order, to
+    the masses.
 
-    ``table`` is in mask order, or a mapping from every subset to its entry.
     One frame configuration (bit) at a time, every set holding it (or, for
     ``superset``, lacking it) subtracts the entry of the set that differs
     from it in that bit alone.
@@ -379,14 +373,7 @@ def _moebius_invert(cat: VariableCatalog, domain: Domain,
     k = _frame_size(cat, domain, cap)
     if len(table) != 1 << k:
         raise MassError(f"table has {len(table)} entries, expected {1 << k}")
-    if isinstance(table, Mapping):
-        f = [None] * (1 << k)
-        for fs, value in table.items():
-            if fs.domain != domain or fs.mask >> k:
-                raise MassError("table does not cover every subset of the frame")
-            f[fs.mask] = float(value)
-    else:
-        f = list(map(float, table))
+    f = list(map(float, table))
     _subset_pass(f, k, operator.sub, superset)
     items = [(FocalSet(cat, domain, mask), v)
              for mask, v in enumerate(f) if not comparator.is_zero(v)]
@@ -396,7 +383,7 @@ def _moebius_invert(cat: VariableCatalog, domain: Domain,
 def belief_to_mass(
     cat: VariableCatalog,
     domain: Domain,
-    belief: Sequence[float] | Mapping[FocalSet, float],
+    belief: Sequence[float],
     cap: int = DEFAULT_SUBSET_CAP,
     comparator: Comparator = DEFAULT_COMPARATOR,
 ) -> SetPotential:
@@ -408,7 +395,7 @@ def belief_to_mass(
 def commonality_to_mass(
     cat: VariableCatalog,
     domain: Domain,
-    commonality: Sequence[float] | Mapping[FocalSet, float],
+    commonality: Sequence[float],
     cap: int = DEFAULT_SUBSET_CAP,
     comparator: Comparator = DEFAULT_COMPARATOR,
 ) -> SetPotential:
@@ -423,16 +410,12 @@ def mass_deviation(a: SetPotential, b: SetPotential) -> float:
     return max((abs(a.mass(k) - b.mass(k)) for k in keys), default=0.0)
 
 
-def degree_of_quasi_support(m: SetPotential, h: FocalSet) -> float:
-    """Mass of focal sets implying ``h`` (the empty set implies everything)."""
-    return mass_to_belief(m, h)
-
-
 def degree_of_support(
     m: SetPotential, h: FocalSet, comparator: Comparator = DEFAULT_COMPARATOR
 ) -> tuple[float, float]:
-    """``(qsp, sp)`` where sp conditions quasi-support on consistency."""
-    qsp = degree_of_quasi_support(m, h)
+    """``(qsp, sp)``: the quasi-support is the mass of focal sets implying ``h``
+    (the empty set implies everything), and sp conditions it on consistency."""
+    qsp = mass_to_belief(m, h)
     total = m.total_mass()
     conflict = m.empty_mass()
     if comparator.eq(conflict, total):

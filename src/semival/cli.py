@@ -56,7 +56,7 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
     if model.factors or not model.potentials:
         sr = model.semiring(comparator)
         ops = tc.ValuationOps(model.catalog, sr, cap=args.cap)
-        factors = model.factor_values()
+        factors = [v for _, v in model.factors]
         lines.insert(0, f"semiring: {sr.name}")
 
         def answer_lines(q: Domain, answer) -> list[str]:
@@ -209,9 +209,7 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
                 )
             else:
                 pl = bf.degree_of_plausibility(pot, h, comparator)
-                _, sp_c = bf.degree_of_support(
-                    pot, h.complement(model.catalog), comparator
-                )
+                _, sp_c = bf.degree_of_support(pot, h.complement(), comparator)
                 lines.append(
                     f"{tag}: pl {format_value(pl)} dual {format_value(1.0 - sp_c)}"
                 )

@@ -18,7 +18,6 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
@@ -79,10 +78,6 @@ class Domain(Frozen):
     def __and__(self, other: "Domain") -> "Domain":
         keep = set(other.names)
         return self._presorted(tuple(n for n in self.names if n in keep))
-
-    def __sub__(self, other: "Domain") -> "Domain":
-        drop = set(other.names)
-        return self._presorted(tuple(n for n in self.names if n not in drop))
 
     def __le__(self, other: "Domain") -> bool:
         """Subset test; the partial order of the domain lattice."""
@@ -196,18 +191,6 @@ class VariableCatalog(Frozen):
                     f"domain {d} has more than {cap} configurations"
                 )
         return n
-
-
-def config_values(
-    cat: VariableCatalog, d: Domain, cap: int | None = DEFAULT_CONFIG_CAP
-) -> list[tuple[int, ...]]:
-    """The value-index tuples of all configurations of ``d``, row-major.
-
-    The empty domain yields exactly one empty tuple.
-    """
-    cat.check_domain(d)
-    cat.config_count(d, cap=cap)
-    return list(itertools.product(*(range(cat.size(name)) for name in d.names)))
 
 
 def _repeat_blocks(seq: tuple, length: int, times: int) -> tuple:

@@ -106,9 +106,6 @@ class Model:
             self._semirings[key] = get_instance(*key)
         return self._semirings[key]
 
-    def factor_values(self) -> list[Valuation]:
-        return [v for _, v in self.factors]
-
 
 def _index(tok: str, line_no: int) -> int:
     try:

@@ -302,8 +302,3 @@ def check_semiring_axioms(
         laws=laws,
     )
 
-
-def corrupted(sr: Semiring, **overrides) -> Semiring:
-    """A copy of ``sr`` with fields forced; used to exercise the checker."""
-    fields = {field: getattr(sr, field) for field in Semiring.__slots__}
-    return Semiring(**{**fields, **overrides})

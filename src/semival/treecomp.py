@@ -124,15 +124,6 @@ def is_join_tree(tree: LabeledTree) -> bool:
     return first_sequence_violation(tree_to_sequence(tree)[0]) is None
 
 
-def is_markov_tree(tree: LabeledTree) -> bool:
-    """On subset-lattice labels the join-tree test decides the Markov property.
-
-    ``markov_check_direct`` in ``tests/oracles.py`` evaluates the quantified
-    definition and is the reference the two are tested against.
-    """
-    return is_join_tree(tree)
-
-
 class EliminationSequence(Frozen):
     """Domains ``x_0..x_{n-1}`` with a forward pointer ``b`` for each i < n-1."""
 
@@ -174,14 +165,9 @@ def first_sequence_violation(seq: EliminationSequence) -> int | None:
     return None
 
 
-def verify_hypertree_sequence(seq: EliminationSequence) -> bool:
-    """Each eliminated domain meets the rest only inside its pointer target."""
-    return first_sequence_violation(seq) is None
-
-
 def sequence_to_join_tree(seq: EliminationSequence) -> LabeledTree:
     """The sequence's tree: edges ``(i, b(i))``, node ``i`` holding factor ``i``."""
-    if not verify_hypertree_sequence(seq):
+    if first_sequence_violation(seq) is not None:
         raise DomainError("not a valid hypertree construction sequence")
     return LabeledTree(seq.domains, tuple(enumerate(seq.b)), tuple(range(len(seq))))
 

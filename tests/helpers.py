@@ -1,8 +1,10 @@
-"""Seeded random generators shared by the randomized suites."""
+"""Seeded random generators and test aids shared by the suites."""
 
 import random
 
 import semival as sv
+from semival.belief import DEFAULT_SUBSET_CAP, FocalSet, _frame_size
+from semival.semiring import Semiring
 
 NEG_INF = float("-inf")
 
@@ -79,10 +81,14 @@ def random_bpa(rng: random.Random, cat, domain, max_focal=4):
     return sv.set_potential(cat, domain, list(items.items()), "bpa")
 
 
+def all_focal_sets(cat, domain, cap=DEFAULT_SUBSET_CAP) -> list:
+    """All ``2^k`` subsets of the frame, ordered by bitmask."""
+    k = _frame_size(cat, domain, cap)
+    return [FocalSet(cat, domain, mask) for mask in range(1 << k)]
+
+
 def random_mass_function(rng: random.Random, cat, domain, allow_empty=True):
     """Random raw potential over a small frame, possibly with conflict mass."""
-    from semival.belief import all_focal_sets
-
     subsets = all_focal_sets(cat, domain)
     if not allow_empty:
         subsets = [s for s in subsets if s.mask]
@@ -105,3 +111,9 @@ def potentials_equal(a, b) -> bool:
         return False
     keys = set(a.by_set) | set(b.by_set)
     return all(sv.DEFAULT_COMPARATOR.eq(a.mass(k), b.mass(k)) for k in keys)
+
+
+def corrupted(sr, **overrides):
+    """A copy of ``sr`` with fields forced; used to exercise the checker."""
+    fields = {field: getattr(sr, field) for field in Semiring.__slots__}
+    return Semiring(**{**fields, **overrides})

@@ -241,6 +241,16 @@ def cellwise_extend(a, t):
     return tuple(values[i] for i in odometer_index_map(a.catalog, t, a.domain))
 
 
+def config_values(cat, d, cap=dm.DEFAULT_CONFIG_CAP):
+    """The value-index tuples of all configurations of ``d``, row-major.
+
+    The empty domain yields exactly one empty tuple.
+    """
+    cat.check_domain(d)
+    cat.config_count(d, cap=cap)
+    return list(itertools.product(*(range(cat.size(name)) for name in d.names)))
+
+
 def odometer_enumerate_configs(cat, d, cap=dm.DEFAULT_CONFIG_CAP):
     """All configurations of ``d``, row-major, by a mixed-radix odometer:
     bump the last digit and carry leftward, as first written."""
@@ -427,7 +437,7 @@ def index_map_combine_potentials(m1, m2, cap=dm.DEFAULT_CONFIG_CAP):
         raise MismatchError("potentials use different catalogs")
     cat = m1.catalog
     u = m1.domain | m2.domain
-    configs = dm.config_values(cat, u, cap)
+    configs = config_values(cat, u, cap)
     n = len(configs)
     r1 = odometer_index_map(cat, u, m1.domain)
     r2 = odometer_index_map(cat, u, m2.domain)

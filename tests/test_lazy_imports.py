@@ -12,6 +12,7 @@ either.  The model reader loads a stanza's module when it meets the
 stanza, so each probe model holds only the stanzas its command reads.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -181,3 +182,24 @@ def test_every_exported_name_resolves():
     assert set(semival.__all__) <= set(namespace)
     assert namespace["Valuation"] is semival.valuation.Valuation
     assert namespace["SetPotentialOps"] is semival.treecomp.SetPotentialOps
+
+
+def test_every_public_function_is_exported_or_used():
+    """Each public top-level ``def`` or ``class`` of the package is exported
+    from ``semival`` or named by some module of it; one that is neither runs
+    only under the tests, and belongs in ``tests/``."""
+    import semival
+
+    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "semival").glob("*.py"))]
+    used = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    public = {node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert sorted(public - set(semival._HOME) - used) == []

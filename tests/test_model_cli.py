@@ -116,7 +116,24 @@ def test_exit_code_capability_error():
         "query y\n"
     )
     code, out, err = _run_stdin(["solve", "-"], text)
-    assert code == 3 and "capability" in err
+    assert (code, out) == (3, "")
+    assert err == ("semival: capability error: query {y} leaves the factor domain {x}; "
+                   "arithmetic has no transport\n")
+
+
+def test_a_later_uncovered_query_leaves_stdout_empty():
+    # the first query is answerable, but a failed command prints no partial report
+    text = (
+        "catalog\n  var x : 0 1\n  var y : 0 1\n  var z : 0 1\nend\n"
+        "semiring boolean\n"
+        "factor f on x y\n  table 1 0 0 1\nend\n"
+        "factor g on y z\n  table 1 1 0 1\nend\n"
+        "tree t\n  node 0 : x y\n  node 1 : y z\n  edge 0 1\n"
+        "  assign f 0\n  assign g 1\nend\n"
+    )
+    code, out, err = _run_stdin(["solve", "-", "--query", "x", "--query", "x z"], text)
+    assert (code, out) == (1, "")
+    assert err == "semival: error: no node label covers query {x z}\n"
 
 
 def test_exit_code_check_failure():
@@ -840,7 +857,7 @@ def test_combine_of_near_certain_alternating_bpas(n, combined, support):
 
 def test_combine_of_an_exactly_conflicting_triple_exits_1():
     text = _bpas_on_u(["focal 1 : (a)"], ["focal 1 : (b)"], ["focal 1 : (a)"])
-    for op in ("combine", "support"):
+    for op in ("combine", "support", "plausibility"):
         code, out, err = _run_stdin(["evidence", "-", "--op", op],
                                     text + "hypothesis h on u : (a)\n")
         assert (code, out) == (1, "")

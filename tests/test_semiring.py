@@ -5,7 +5,9 @@ import pytest
 import oracles
 import semival as sv
 from semival.errors import DomainError
-from semival.semiring import corrupted, format_value
+from semival.semiring import format_value
+
+from helpers import corrupted
 
 NEG_INF = float("-inf")
 

@@ -58,11 +58,11 @@ def test_is_markov_tree_agrees_with_direct_check():
     chain = sv.LabeledTree(
         (D("X", "Y"), D("Y", "Z"), D("Z", "W")), ((0, 1), (1, 2))
     )
-    assert sv.is_markov_tree(chain)
+    assert sv.is_join_tree(chain)
     broken = sv.LabeledTree(
         (D("X", "Y"), D("Z"), D("X", "W")), ((0, 1), (1, 2))
     )
-    assert not sv.is_markov_tree(broken)
+    assert not sv.is_join_tree(broken)
     star = sv.LabeledTree(
         (D("X", "Y"), D("Y", "Z", "W"), D("Z", "A"), D("W", "B")),
         ((0, 1), (1, 2), (1, 3)),
@@ -187,7 +187,6 @@ def test_running_intersection_matches_the_references():
         seq = _random_sequence(rng, rng.randint(1, 30))
         bad = tc.first_sequence_violation(seq)
         assert bad == oracles.suffix_union_sequence_violation(seq)
-        assert sv.verify_hypertree_sequence(seq) == (bad is None)
         steps.add(bad)
     assert 5_000 < sum(tree_verdicts) < 15_000
     assert None in steps and len(steps) > 20  # valid ones, and violations at many steps
@@ -255,7 +254,7 @@ def test_leaf_deletion_keeps_markov():
         cat, factors = helpers.random_instance(rng, sv.get_instance("boolean"),
                                                max_vars=5, max_factors=4)
         tree = sv.build_covering_join_tree([f.domain for f in factors])
-        assert sv.is_markov_tree(tree)
+        assert sv.is_join_tree(tree)
         if len(tree) < 2:
             continue
         leaves = [v for v in range(len(tree)) if len(tree.neighbors[v]) == 1]
@@ -267,16 +266,16 @@ def test_leaf_deletion_keeps_markov():
                 tuple((renum[a], renum[b]) for a, b in tree.edges
                       if a != leaf and b != leaf),
             )
-            assert sv.is_markov_tree(sub)
+            assert sv.is_join_tree(sub)
 
 
 def test_sequence_examples():
     single = sv.EliminationSequence((D("x"),), ())
-    assert sv.verify_hypertree_sequence(single)
+    assert sv.first_sequence_violation(single) is None
     good = sv.EliminationSequence((D("X", "Y"), D("Y", "Z"), D("Z")), (1, 2))
-    assert sv.verify_hypertree_sequence(good)
+    assert sv.first_sequence_violation(good) is None
     bad = sv.EliminationSequence((D("X", "Y"), D("Z"), D("X", "Z")), (1, 2))
-    assert not sv.verify_hypertree_sequence(bad)
+    assert sv.first_sequence_violation(bad) == 0
     with pytest.raises(DomainError):
         sv.EliminationSequence((D("X"), D("Y")), (0,))  # pointer not forward
 
@@ -325,7 +324,7 @@ def test_build_covering_randomized_properties():
             # every rooting numbers the tree into a hypertree sequence
             for root in range(len(tree)):
                 seq, _ = sv.tree_to_sequence(tree, root)
-                assert sv.verify_hypertree_sequence(seq)
+                assert sv.first_sequence_violation(seq) is None
 
 
 def test_build_covering_deterministic():
@@ -583,7 +582,7 @@ def test_hypertree_tropical_global_maximum():
         # extend the sequence down to the empty domain to read off the optimum
         seq = sv.EliminationSequence(base.domains + (sv.EMPTY_DOMAIN,),
                                      base.b + (len(base),))
-        assert sv.verify_hypertree_sequence(seq)
+        assert sv.first_sequence_violation(seq) is None
         node_factors = oracles.label_unit_tables(tree, factors, ops)
         aligned = [node_factors[v] for v in order] + [ops.unit(sv.EMPTY_DOMAIN)]
         result, _ = sv.hypertree_collect(seq, aligned, ops)
@@ -614,7 +613,7 @@ def test_hypertree_invariant_under_pointer_choice():
     results = []
     for combo in itertools.product(*choices):
         seq = sv.EliminationSequence(doms, tuple(combo))
-        assert sv.verify_hypertree_sequence(seq)
+        assert sv.first_sequence_violation(seq) is None
         result, _ = sv.hypertree_collect(seq, factors, ops)
         results.append(result)
     assert len(results) >= 2

@@ -12,7 +12,8 @@ import pytest
 import semival as sv
 from semival.model import Model, NamedTree
 from semival.reports import CheckReport, LawResult
-from semival.semiring import corrupted
+
+from helpers import corrupted
 
 CAT = sv.VariableCatalog.of({"x": ("0", "1"), "y": ("0", "1", "2")})
 DX, DXY = sv.Domain.of("x"), sv.Domain.of("x", "y")
