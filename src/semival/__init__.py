@@ -31,6 +31,7 @@ _EXPORTS = {
         "Valuation",
         "check_valuation_axioms",
         "combine",
+        "combine_project",
         "is_null",
         "null",
         "project",

@@ -19,7 +19,7 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, DomainError, Frozen
 
@@ -218,20 +218,27 @@ def _repeat_blocks(seq: tuple, length: int, times: int) -> tuple:
 def restriction_index_map(
     cat: VariableCatalog, big: Domain, sub: Domain, cells: tuple
 ) -> tuple:
-    """``cells``, a table on ``sub <= big``, in ``big``'s configuration order.
-
-    Each run of ``big``'s variables that ``sub`` lacks is inserted as block
-    repetitions of ``cells``, last run first: no configuration objects are
-    built, no index map is applied and no per-cell Python step runs.  With
-    ``cells = tuple(range(count(sub)))`` the result is the restriction index
-    map.  This is the workhorse behind table combination and vacuous extension.
-    """
+    """``cells``, a table on ``sub <= big``, in ``big``'s configuration order;
+    with ``cells = tuple(range(count(sub)))``, the restriction index map."""
     if not sub <= big:
         raise DomainError(f"{sub} is not a subset of {big}")
+    return _insert_runs(cat, big.names, sub, cells)
+
+
+def _insert_runs(cat: VariableCatalog, names: Sequence[str], sub: Domain,
+                 cells: tuple) -> tuple:
+    """``cells``, on ``sub``'s variables in ``names``' order, on all of ``names``.
+
+    Each run of ``names`` that ``sub`` lacks is inserted as block
+    repetitions of ``cells``, last run first: no configuration objects are
+    built, no index map is applied and no per-cell Python step runs.
+    """
+    if len(sub) == len(names):
+        return cells
     out = cells
     block = run = 1  # block: items of ``out`` per configuration of the suffix done
-    for name in reversed(big.names):
-        if name in sub:
+    for name in reversed(names):
+        if name in sub.names:
             out = _repeat_blocks(out, block, run)
             block, run = block * run * cat.size(name), 1
         else:

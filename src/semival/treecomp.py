@@ -7,8 +7,8 @@ for either semiring valuations (:class:`ValuationOps`) or set potentials
 * ``catalog``, ``cap`` -- the variable catalog its values live in and
   the configuration cap every node label is checked against,
 * ``combine(a, b)``, ``unit(d)`` -- combination and its neutral element,
-* ``message(a, target)`` -- shaping an edge message for the receiving
-  label,
+* ``message(operands, target)`` -- the message to the receiving label
+  of the sender's node factor and received messages, in neighbour order,
 * ``solve_to(a, x)`` -- the answer on ``x`` (projection when covered),
 * ``deviation(a, b)`` -- the largest numeric difference, for oracle
   reports,
@@ -19,19 +19,20 @@ Every value carries its own ``.domain``.  A valuation message is the
 sender's information projected to the variables it shares with the
 receiving label, so it lies within the edge separator, whatever the
 semiring: extending it to the whole label, as idempotent addition would
-allow, only multiplies by ``one``.  A set-potential message is
-transported to the receiving label.  Every node starts from the scalar
-identity ``unit(EMPTY_DOMAIN)`` and holds only its own factors, combined
-on their own domains; this is the adjoined identity of covering join trees
-(Schneuwly, Pouly & Kohlas 2004).  A node's result therefore spans the
-variables of its label that some factor mentions, and a label variable
-no factor mentions is never summed over.  Collect computes the combined
-information at a chosen root; distribute reuses the cached inward
-messages and builds only the outward messages on the paths from the
-root to the requested nodes.  Hypertree elimination is collect and
-distribute on a construction sequence's tree, rooted at its last node;
-its backward pass needs a fully idempotent algebra and refuses to run
-otherwise.
+allow, only multiplies by ``one``.  Its last combination is fused into
+that projection, which builds no table of that product.  A set-potential
+message is transported to the receiving label.  Every node starts from
+the scalar identity ``unit(EMPTY_DOMAIN)`` and holds only its own
+factors, combined on their own domains; this is the adjoined identity of
+covering join trees (Schneuwly, Pouly & Kohlas 2004).  A node's result
+therefore spans the variables of its label that some factor mentions,
+and a label variable no factor mentions is never summed over.  Collect
+computes the combined information at a chosen root; distribute reuses
+the cached inward messages and builds only the outward messages on the
+paths from the root to the requested nodes.  Hypertree elimination is
+collect and distribute on a construction sequence's tree, rooted at its
+last node; its backward pass needs a fully idempotent algebra and
+refuses to run otherwise.
 
 ``naive_solve`` is the deliberately simple combine-then-extract oracle
 that every local scheme is tested against.
@@ -326,8 +327,13 @@ class ValuationOps:
     def unit(self, d: Domain):
         return self._va.unit(self.catalog, self.semiring, d, cap=self.cap)
 
-    def message(self, a, target: Domain):
-        return self._va.project(a, a.domain & target)
+    def message(self, operands: Sequence, target: Domain):
+        *rest, last = operands
+        if not rest:
+            return self._va.project(last, last.domain & target)
+        acc = reduce(self.combine, rest)
+        t = Domain(tuple(set(target.names).intersection(acc.domain.names + last.domain.names)))
+        return self._va.combine_project(acc, last, t, cap=self.cap)
 
     def solve_to(self, a, x: Domain):
         if x <= a.domain:
@@ -374,10 +380,11 @@ class SetPotentialOps:
     def unit(self, d: Domain):
         return self._bf.vacuous(self.catalog, d)
 
-    def message(self, a, target: Domain):
-        return self._bf.transport_potential(a, target, cap=self.cap)
+    def message(self, operands: Sequence, target: Domain):
+        return self.solve_to(reduce(self.combine, operands), target)
 
-    solve_to = message
+    def solve_to(self, a, x: Domain):
+        return self._bf.transport_potential(a, x, cap=self.cap)
 
     def deviation(self, a, b) -> float:
         return self._bf.mass_deviation(a, b)
@@ -427,15 +434,11 @@ def _node_factors(tree: LabeledTree, factors: Sequence, ops) -> list:
     return out
 
 
-def _absorb(tree: LabeledTree, node_factors: Sequence, messages: dict, v: int,
-            skip: int, ops):
-    """``node_factors[v]`` combined with the messages into ``v`` from every
-    neighbour except ``skip``, in neighbour order (``skip=v`` takes all)."""
-    acc = node_factors[v]
-    for u in tree.neighbors[v]:
-        if u != skip:
-            acc = ops.combine(acc, messages[(u, v)])
-    return acc
+def _operands(tree: LabeledTree, store: MessageStore, v: int, skip: int) -> list:
+    """``v``'s node factor and the messages into ``v`` from every neighbour
+    except ``skip``, in neighbour order (``skip=v`` takes all)."""
+    into = [store.messages[(u, v)] for u in tree.neighbors[v] if u != skip]
+    return [store.node_factors[v], *into]
 
 
 def collect(tree: LabeledTree, factors: Sequence, root: int, ops):
@@ -459,13 +462,11 @@ def _inward(tree: LabeledTree, factors: Sequence, order: Sequence[int],
     """The inward pass on a checked leaves-first numbering: node ``order[i]``
     sends to ``order[b[i]]``, and ``order[-1]`` is the root."""
     root = order[-1]
-    node_factors = _node_factors(tree, factors, ops)
-    store = MessageStore(root=root, node_factors=tuple(node_factors))
+    store = MessageStore(root=root, node_factors=tuple(_node_factors(tree, factors, ops)))
     for v, j in zip(order, b):
         p = order[j]
-        acc = _absorb(tree, node_factors, store.messages, v, p, ops)
-        store.messages[(v, p)] = ops.message(acc, tree.labels[p])
-    return _absorb(tree, node_factors, store.messages, root, root, ops), store
+        store.messages[(v, p)] = ops.message(_operands(tree, store, v, p), tree.labels[p])
+    return reduce(ops.combine, _operands(tree, store, root, root)), store
 
 
 def distribute(tree: LabeledTree, store: MessageStore, ops,
@@ -497,9 +498,8 @@ def distribute(tree: LabeledTree, store: MessageStore, ops,
         if v not in on_path or (parent[v], v) in store.messages:
             continue
         p = parent[v]
-        acc = _absorb(tree, node_factors, store.messages, p, v, ops)
-        store.messages[(p, v)] = ops.message(acc, tree.labels[v])
-    return [_absorb(tree, node_factors, store.messages, v, v, ops) for v in nodes]
+        store.messages[(p, v)] = ops.message(_operands(tree, store, p, v), tree.labels[v])
+    return [reduce(ops.combine, _operands(tree, store, v, v)) for v in nodes]
 
 
 def naive_solve(factors: Sequence, x: Domain, ops):

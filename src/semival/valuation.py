@@ -10,9 +10,10 @@ semirings transport would silently break the algebra, so it raises
 
 Tables are tuples, and the kernels run at C level: combination and
 vacuous extension repeat blocks of the table itself, with no index map
-built or applied, and projection block-transposes the summed-out
-variables next to each other, then folds them with ``map`` and
-``reduce``.  Every output cell of a projection is a left fold in
+built or applied.  Projection block-swaps the summed-out variables in
+front of or behind the kept ones and folds them with ``map`` and
+``reduce``; :func:`combine_project` folds two tables' products so, as
+they are made.  Every output cell of a projection is a left fold in
 increasing source-index order, so results keep their exact bits, and
 overflow to ``inf`` and ``nan`` passes silently, as on Python floats.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import partial, reduce
-from itertools import chain, groupby, repeat, starmap
+from itertools import chain, groupby, islice, repeat, starmap
 from typing import TYPE_CHECKING, Sequence
 
 from . import domains as dm
@@ -127,34 +128,58 @@ def project(a: Valuation, t: Domain) -> Valuation:
         raise DomainError(f"cannot project {a.domain} to non-subset {t}")
     if t == a.domain:
         return a
-    cat, sr = a.catalog, a.semiring
-    runs = [(kept, math.prod(map(cat.size, names)))
-            for kept, names in groupby(a.domain.names, t.__contains__)]
-    last = max(i for i, (kept, _) in enumerate(runs) if not kept)
-    # move the dropped variables seen so far behind each kept run that
-    # precedes a later dropped one: then the cells are outer x rows x inner
-    # with the dropped variables, in their order, as the rows
-    cells, outer, rows, inner = a.table, 1, 1, len(a.table)
-    for kept, size in runs[:last + 1]:
-        inner //= size
-        if not kept:
+    return Valuation(a.catalog, a.semiring, t, _sum_out((a,), a.domain, t))
+
+
+def combine_project(a: Valuation, b: Valuation, t: Domain,
+                    cap: int | None = dm.DEFAULT_CONFIG_CAP) -> Valuation:
+    """``project(combine(a, b), t)``, bit for bit, with no product table built."""
+    _check_operands(a, b)
+    u = a.domain | b.domain
+    a.catalog.config_count(u, cap=cap)
+    if not t <= u:
+        raise DomainError(f"cannot project {u} to non-subset {t}")
+    return Valuation(a.catalog, a.semiring, t, _sum_out((a, b), u, t))
+
+
+def _sum_out(operands: tuple, u: Domain, t: Domain) -> tuple:
+    """The product of ``operands`` on ``u`` summed out to ``t <= u``, each
+    operand arranged and extended to ``u`` with the summed variables first
+    when their configurations (rows) are fewer than the output cells, or as
+    many and ``u``'s last variable is kept."""
+    cat, sr = operands[0].catalog, operands[0].semiring
+    out = cat.config_count(t, cap=None)
+    rows = cat.config_count(u, cap=None) // out
+    kept_first = rows > out or (rows == out and u.names[-1:] != t.names[-1:])
+    names = sorted(u.names, key=t.names.__contains__, reverse=kept_first)  # stable
+    tables = [dm._insert_runs(cat, names, v.domain, _arrange(v, t, kept_first))
+              for v in operands]
+    cells = map(sr.mul, *tables) if len(tables) > 1 else iter(tables[0])
+    if kept_first:
+        return tuple(map(reduce, repeat(sr.add), zip(*[cells] * rows)))
+    acc = tuple(islice(cells, out))
+    for _ in range(rows - 1):
+        acc = tuple(map(sr.add, acc, islice(cells, out)))
+    return acc
+
+
+def _arrange(a: Valuation, t: Domain, kept_first: bool) -> tuple:
+    """``a``'s cells with its variables in ``t`` moved in front of the others
+    (``kept_first``) or behind them, each group in its own order: the cells
+    are outer x rows x inner, the front group seen so far in outer."""
+    cells, outer, rows = a.table, 1, 1
+    if len(a.domain) < 2:
+        return cells
+    for kept, names in groupby(a.domain.names, t.names.__contains__):
+        size = math.prod(map(a.catalog.size, names))
+        if kept != kept_first:
             rows *= size
         elif rows == 1:
             outer *= size
         else:
-            cells = _swap(cells, outer, rows, size, inner)
+            cells = _swap(cells, outer, rows, size, len(cells) // (outer * rows * size))
             outer *= size
-    # fold the rows left to right, each cell's increasing source-index order:
-    # one map pass per row, or one reduce per output cell when the rows are
-    # many and short, which costs fewer Python steps
-    add = sr.add
-    if (inner == 1 and rows > 16) or rows > outer * inner:
-        if inner > 1:
-            cells = _swap(cells, outer, rows, inner, 1)
-        table = tuple(map(reduce, repeat(add), zip(*[iter(cells)] * rows)))
-    else:
-        table = reduce(lambda acc, row: tuple(map(add, acc, row)), _rows(cells, rows, inner))
-    return Valuation(cat, sr, t, table)
+    return cells
 
 
 def _swap(cells: tuple, outer: int, rows: int, cols: int, inner: int) -> tuple:
@@ -163,14 +188,6 @@ def _swap(cells: tuple, outer: int, rows: int, cols: int, inner: int) -> tuple:
     blocks = zip(*[zip(*[iter(units)] * cols)] * rows)  # per outer index: rows x cols units
     moved = chain.from_iterable(chain.from_iterable(starmap(zip, blocks)))
     return tuple(chain.from_iterable(moved) if inner > 1 else moved)
-
-
-def _rows(cells: tuple, rows: int, inner: int) -> list:
-    """Each row of ``outer x rows x inner`` cells, in ``outer x inner`` order."""
-    if inner == 1:
-        return [cells[r::rows] for r in range(rows)]
-    chunks = tuple(zip(*[iter(cells)] * inner))
-    return [chain.from_iterable(chunks[r::rows]) for r in range(rows)]
 
 
 def vacuous_extend(a: Valuation, t: Domain,

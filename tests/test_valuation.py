@@ -1,10 +1,12 @@
+import functools
 import random
+import re
 
 import pytest
 
 import semival as sv
 from semival.domains import restriction_index_map
-from semival.errors import CapabilityError, DomainError, MismatchError
+from semival.errors import CapabilityError, CapacityError, DomainError, MismatchError
 
 import helpers
 import oracles
@@ -175,6 +177,55 @@ def test_mismatch_errors(xy):
         sv.combine(a, sv.Valuation(cat, bo, Y, (1, 0)))
 
 
+def test_combine_project_raises_what_combine_then_project_raises(xy):
+    """A semiring mismatch, an over-cap union and a target outside the
+    union fail with the error type and text of the two-step path."""
+    cat, X, Y, XY = xy
+    ar, bo = sv.get_instance("arithmetic"), sv.get_instance("boolean")
+    a, b = sv.Valuation(cat, ar, X, (0.5, 0.5)), sv.Valuation(cat, ar, Y, (0.25, 0.75))
+    z = sv.VariableCatalog.of({"x": "01", "y": "01", "z": "01"}).domain("z")
+    cases = [
+        (MismatchError, lambda: sv.combine(a, sv.Valuation(cat, bo, Y, (1, 0))),
+         lambda: sv.combine_project(a, sv.Valuation(cat, bo, Y, (1, 0)), X)),
+        (CapacityError, lambda: sv.project(sv.combine(a, b, cap=3), X),
+         lambda: sv.combine_project(a, b, X, cap=3)),
+        (DomainError, lambda: sv.project(sv.combine(a, b), z),
+         lambda: sv.combine_project(a, b, z)),
+    ]
+    for error, two_step, fused in cases:
+        with pytest.raises(error) as want:
+            two_step()
+        with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+            fused()
+
+
+def test_combine_project_builds_no_product_table():
+    """A 3^11-cell union of 3^6- and 3^9-cell operands summed to four
+    variables: the fused kernel's traced peak stays under 60% of the
+    two-step path's, which holds the product table and its cells."""
+    import tracemalloc
+
+    rng = random.Random(608)
+    names = [f"v{i:02d}" for i in range(11)]
+    cat = sv.VariableCatalog.of({n: "abc" for n in names})
+    ar = sv.get_instance("arithmetic")
+    a_dom, b_dom = sv.Domain(tuple(names[:6])), sv.Domain(tuple(names[2:]))
+    a = sv.Valuation(cat, ar, a_dom, [rng.random() for _ in range(3**6)])
+    b = sv.Valuation(cat, ar, b_dom, [rng.random() for _ in range(3**9)])
+    kept = sv.Domain(tuple(names[1::3]))
+    peaks = []
+    for run in (lambda: sv.project(sv.combine(a, b), kept),
+                lambda: sv.combine_project(a, b, kept)):
+        tracemalloc.start()
+        try:
+            result = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(result.table) == 3**4
+    assert peaks[1] < 0.6 * peaks[0], peaks
+
+
 def test_axiom_suite_boolean_all_pass():
     report = sv.check_valuation_axioms(sv.get_instance("boolean"), samples=80, seed=0)
     assert report.passed
@@ -265,8 +316,8 @@ def _same(got, want) -> bool:
 
 
 def _check_kernels(a, b, kept):
-    """combine, vacuous_extend, project and both index maps of ``a`` and
-    ``b`` against the per-cell reference kernels, bit for bit."""
+    """combine, combine_project, vacuous_extend, project and both index maps
+    of ``a`` and ``b`` against the per-cell reference kernels, bit for bit."""
     cat = a.catalog
     u, want = oracles.cellwise_combine(a, b)
     got = sv.combine(a, b)
@@ -277,6 +328,10 @@ def _check_kernels(a, b, kept):
     assert _same(sv.vacuous_extend(a, u).table, oracles.cellwise_extend(a, u))
     for v, t in ((a, kept), (a, sv.Domain()), (got, b.domain)):
         assert _same(sv.project(v, t).table, oracles.cellwise_project(v, t))
+    product = sv.Valuation(cat, a.semiring, u, want)
+    for t in (kept, sv.Domain(), u, b.domain):
+        fused = sv.combine_project(a, b, t)
+        assert fused.domain == t and _same(fused.table, oracles.cellwise_project(product, t))
 
 
 def test_dense_kernels_match_cellwise_reference():
@@ -386,7 +441,8 @@ class _CellwiseOps(sv.ValuationOps):
         u, table = oracles.cellwise_combine(a, b)
         return sv.Valuation(a.catalog, a.semiring, u, table)
 
-    def message(self, a, target):
+    def message(self, operands, target):
+        a = functools.reduce(self.combine, operands)
         t = a.domain & target
         return sv.Valuation(a.catalog, a.semiring, t, oracles.cellwise_project(a, t))
 
