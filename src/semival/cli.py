@@ -51,13 +51,11 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
     queries = _queries(model, args)
     if not queries:
         raise ParseError("no query: add 'query VAR...' stanzas or pass --query")
-    lines = [f"heuristic: {args.heuristic}", f"seed: {args.seed}"]
-
     if model.factors or not model.potentials:
         sr = model.semiring(comparator)
         ops = tc.ValuationOps(model.catalog, sr, cap=args.cap)
         factors = [v for _, v in model.factors]
-        lines.insert(0, f"semiring: {sr.name}")
+        semiring = f"semiring: {sr.name}"
 
         def answer_lines(q: Domain, answer) -> list[str]:
             body = " ".join(map(format_value, answer.table))
@@ -74,12 +72,13 @@ def cmd_solve(model: Model, args, comparator: Comparator) -> tuple[list[str], in
     else:
         ops = tc.SetPotentialOps(model.catalog, cap=args.cap)
         factors = [p for _, p in model.potentials]
-        lines.insert(0, "semiring: none (set potentials)")
+        semiring = "semiring: none (set potentials)"
 
         def answer_lines(q: Domain, answer) -> list[str]:
             return [f"result {q}:",
                     *_potential_lines(model, answer, "  focal ")]
 
+    lines = [semiring, f"heuristic: {args.heuristic}", f"seed: {args.seed}"]
     if model.trees:
         named = model.trees[0]
         tree = named.structure([n for n, _ in (model.factors or model.potentials)])
@@ -198,9 +197,7 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
         combined = _combined_potential(model, comparator, args.cap)
         texts = focal_texts(model.catalog, [h for _, h in model.hypotheses])
         for (name, h), text in zip(model.hypotheses, texts):
-            pot = combined
-            if h.domain != combined.domain:
-                pot = bf.transport_potential(combined, h.domain, cap=args.cap)
+            pot = bf.transport_potential(combined, h.domain, cap=args.cap)
             tag = f"hypothesis {name} {{{text}}}"
             if op == "support":
                 qsp, sp = bf.degree_of_support(pot, h, comparator)

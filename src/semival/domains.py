@@ -19,6 +19,7 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, DomainError, Frozen
@@ -193,27 +194,20 @@ class VariableCatalog(Frozen):
         return n
 
 
-def _repeat_blocks(seq: tuple, length: int, times: int) -> tuple:
-    """Each consecutive block of ``length`` items of ``seq``, ``times`` times over.
-
-    Built by slice assignments: one per block, or one per position in a
-    repeated block, whichever is fewer.
-    """
-    if times == 1 or length == len(seq):
-        return seq * times
-    blocks, step = len(seq) // length, length * times
-    out = [None] * (len(seq) * times)
-    if blocks <= step:
-        for b in range(blocks):
-            out[b * step:(b + 1) * step] = seq[b * length:(b + 1) * length] * times
-    else:
-        columns = [seq[j::length] for j in range(length)]
-        for k in range(step):
-            out[k::step] = columns[k % length]
-    return tuple(out)
+def _repeat_blocks(seq: Iterable, length: int, times: int) -> Iterator:
+    """Each consecutive block of ``length`` items of ``seq``, ``times`` times
+    over, made as it is read: ``seq``'s blocks are read once, as tuples, and
+    each is repeated by a ``repeat`` iterator, with no per-item Python step."""
+    if length == 1:
+        # zip reads ``seq`` ``times`` over, so it must be a tuple: one-item
+        # blocks come only at _insert_runs' first repeat, on ``cells``
+        return chain.from_iterable(zip(*[seq] * times))
+    blocks = map(repeat, zip(*[iter(seq)] * length), repeat(times))
+    return chain.from_iterable(chain.from_iterable(blocks))
 
 
-# stores nothing; the name and its cache_info() stay for perfbench/tracer.py
+# stores nothing; the name and its cache_info() stay for perfbench/tracer.py,
+# and it returns a tuple because the tracer counts len(result)
 @lru_cache(maxsize=0)
 def restriction_index_map(
     cat: VariableCatalog, big: Domain, sub: Domain, cells: tuple
@@ -222,16 +216,19 @@ def restriction_index_map(
     with ``cells = tuple(range(count(sub)))``, the restriction index map."""
     if not sub <= big:
         raise DomainError(f"{sub} is not a subset of {big}")
-    return _insert_runs(cat, big.names, sub, cells)
+    return tuple(_insert_runs(cat, big.names, sub, cells))
 
 
 def _insert_runs(cat: VariableCatalog, names: Sequence[str], sub: Domain,
-                 cells: tuple) -> tuple:
-    """``cells``, on ``sub``'s variables in ``names``' order, on all of ``names``.
+                 cells: tuple) -> Iterable:
+    """``cells``, on ``sub``'s variables in ``names``' order, on all of
+    ``names``, made as it is read.
 
     Each run of ``names`` that ``sub`` lacks is inserted as block
     repetitions of ``cells``, last run first: no configuration objects are
-    built, no index map is applied and no per-cell Python step runs.
+    built, no index map is applied and no per-cell Python step runs.  The
+    outermost run's one block is the whole inner result, 1/run of the
+    output; that block alone is held, and read ``run`` times.
     """
     if len(sub) == len(names):
         return cells
@@ -239,8 +236,9 @@ def _insert_runs(cat: VariableCatalog, names: Sequence[str], sub: Domain,
     block = run = 1  # block: items of ``out`` per configuration of the suffix done
     for name in reversed(names):
         if name in sub.names:
-            out = _repeat_blocks(out, block, run)
+            if run > 1:
+                out = _repeat_blocks(out, block, run)
             block, run = block * run * cat.size(name), 1
         else:
             run *= cat.size(name)
-    return _repeat_blocks(out, block, run)
+    return chain.from_iterable(repeat(tuple(out), run)) if run > 1 else out

@@ -8,14 +8,17 @@ available exactly when the semiring has idempotent addition -- for other
 semirings transport would silently break the algebra, so it raises
 :class:`CapabilityError` instead.
 
-Tables are tuples, and the kernels run at C level: combination and
-vacuous extension repeat blocks of the table itself, with no index map
-built or applied.  Projection block-swaps the summed-out variables in
-front of or behind the kept ones and folds them with ``map`` and
-``reduce``; :func:`combine_project` folds two tables' products so, as
-they are made.  Every output cell of a projection is a left fold in
-increasing source-index order, so results keep their exact bits, and
-overflow to ``inf`` and ``nan`` passes silently, as on Python floats.
+Tables are tuples, and the kernels run at C level: an operand is
+extended to a larger domain by repeating blocks of its own table, with
+no index map built or applied; :func:`combine` and :func:`vacuous_extend`
+build that extension.  Projection block-swaps the summed-out variables
+in front of or behind the kept ones and folds them with ``map`` and
+``reduce``; :func:`project` and :func:`combine_project` read their
+operands' extensions as they go, so the latter folds two tables'
+products as they are made and builds no table on the union.  Every
+output cell of a projection is a left fold in increasing source-index
+order, so results keep their exact bits, and overflow to ``inf`` and
+``nan`` passes silently, as on Python floats.
 
 Valuations are immutable and all operations are pure.
 """
@@ -144,9 +147,9 @@ def combine_project(a: Valuation, b: Valuation, t: Domain,
 
 def _sum_out(operands: tuple, u: Domain, t: Domain) -> tuple:
     """The product of ``operands`` on ``u`` summed out to ``t <= u``, each
-    operand arranged and extended to ``u`` with the summed variables first
-    when their configurations (rows) are fewer than the output cells, or as
-    many and ``u``'s last variable is kept."""
+    operand arranged, and read extended to ``u`` as the fold goes, with the
+    summed variables first when their configurations (rows) are fewer than
+    the output cells, or as many and ``u``'s last variable is kept."""
     cat, sr = operands[0].catalog, operands[0].semiring
     out = cat.config_count(t, cap=None)
     rows = cat.config_count(u, cap=None) // out

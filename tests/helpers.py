@@ -113,6 +113,18 @@ def potentials_equal(a, b) -> bool:
     return all(sv.DEFAULT_COMPARATOR.eq(a.mass(k), b.mass(k)) for k in keys)
 
 
+def traced_peak(fn):
+    """``fn()``'s result and the peak of memory traced while it ran, in bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def corrupted(sr, **overrides):
     """A copy of ``sr`` with fields forced; used to exercise the checker."""
     fields = {field: getattr(sr, field) for field in Semiring.__slots__}
