@@ -218,13 +218,14 @@ def cmd_evidence(model: Model, args, comparator: Comparator) -> tuple[list[str],
             singletons = [bf.FocalSet(pot.catalog, pot.domain, 1 << i)
                           for i in range(pot.catalog.config_count(pot.domain))]
             texts = focal_texts(model.catalog, singletons)
+            shown = {v: format_value(v) for v in {*btable, *qtable}}
             # depth first over member indices: configurations are numbered
             # in tuple order, so subsets come in the order of their tuples
             stack = [(0, "", 0)]
             while stack:
                 mask, text, first = stack.pop()
-                lines.append(f"  b {{{text}}}: {format_value(btable[mask])}"
-                             f"  q {{{text}}}: {format_value(qtable[mask])}")
+                lines.append(f"  b {{{text}}}: {shown[btable[mask]]}"
+                             f"  q {{{text}}}: {shown[qtable[mask]]}")
                 stack.extend((mask | 1 << i, f"{text} {texts[i]}" if text else texts[i], i + 1)
                              for i in reversed(range(first, len(texts))))
             for label, invert, table in (("belief", bf.belief_to_mass, btable),
@@ -311,7 +312,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         comparator = DEFAULT_COMPARATOR
-        if args.tolerance:
+        if args.tolerance is not None:
             comparator = _comparator(args.tolerance)
         # every domain has at least one configuration, and a check at least one draw
         for flag, n in (("--cap", args.cap),

@@ -22,9 +22,6 @@ class Comparator(Frozen):
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "abs", abs)
 
-    def _key(self) -> tuple:
-        return (self.rel, self.abs)
-
     def eq(self, a: float, b: float) -> bool:
         if a == b:
             # covers ints, equal floats and matching infinities

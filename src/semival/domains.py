@@ -113,9 +113,6 @@ class Variable(Frozen):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "frame", frame)
 
-    def _key(self) -> tuple:
-        return (self.name, self.frame)
-
 
 class VariableCatalog(Frozen):
     """Named variables with finite frames under a fixed total name order."""

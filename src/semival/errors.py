@@ -1,17 +1,50 @@
-"""Shared exception types, and the base of the immutable value types.
+"""Shared exception types, and the bases of the value types.
+
+A value type declares its fields once, in ``__slots__``; equality, and
+for immutable values hashing, follow from that list.
 
 The CLI maps these onto exit codes: parse problems exit 2, capability
 problems exit 3, everything else that reaches the top level exits 1.
 """
 
 
-class Frozen:
-    """Base of the immutable value types.
+def _slot_fields(value) -> tuple:
+    """The default key: the public fields of ``__slots__``, in order."""
+    return tuple([getattr(value, f) for f in value.__slots__ if f[0] != "_"])
+
+
+class Record:
+    """Base of the mutable value types, which are unhashable.
+
+    Two records are equal when they are of one class and their ``_key()``
+    tuples are equal.  The default key holds the public fields of the
+    class's ``__slots__`` in order; a slot whose name starts with ``_``,
+    such as a cache, takes no part in equality.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+    _key = _slot_fields
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+
+class Frozen(Record):
+    """Base of the immutable value types: a record that refuses assignment
+    and hashes by its key.
 
     A subclass sets its fields once, in ``__init__``, through
     ``object.__setattr__``; assigning or deleting one afterwards raises
-    ``AttributeError``.  Two values are equal, and hash alike, when they
-    are of one class and their ``_key()`` tuples of fields are equal.
+    ``AttributeError``.  As for a record, the key holds the public fields
+    of ``__slots__`` in order, and a slot whose name starts with ``_``
+    takes no part in equality or hashing.  A subclass without
+    ``__slots__``, because it caches properties, writes its own ``_key``
+    (or its own ``__eq__`` and ``__hash__``).
     """
 
     __slots__ = ()
@@ -21,13 +54,6 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .compare import DEFAULT_COMPARATOR, Comparator
 from .domains import Domain, VariableCatalog
-from .errors import ParseError
+from .errors import ParseError, Record
 from .semiring import Semiring, format_value, get_instance
 
 if TYPE_CHECKING:  # imported where a stanza needs them, so a command loads only its own
@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # imported where a stanza needs them, so a command loads only
     from .valuation import Valuation
 
 
-class NamedTree:
+class NamedTree(Record):
     __slots__ = ("name", "labels", "edges", "assigned")
 
     def __init__(self, name: str, labels: tuple[Domain, ...],
@@ -38,12 +38,6 @@ class NamedTree:
         self.labels = labels
         self.edges = edges
         self.assigned = {} if assigned is None else assigned  # factor name -> node
-
-    def __eq__(self, other):  # by value, so unhashable
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.labels, self.edges, self.assigned)
-                == (other.name, other.labels, other.edges, other.assigned))
 
     def structure(self, factor_names: Sequence[str] = ()) -> LabeledTree:
         """The labeled tree, holding each named factor at its assigned node."""
@@ -58,40 +52,25 @@ class NamedTree:
         )
 
 
-class Model:
-    """What a model file declares; compared by value, so unhashable."""
+class Model(Record):
+    """What a model file declares, filled in stanza by stanza by the reader."""
 
     __slots__ = ("catalog", "semiring_name", "factors", "potentials", "universes",
                  "partitions", "trees", "sequences", "queries", "hypotheses",
                  "_semirings")
 
-    def __init__(self, catalog: VariableCatalog, semiring_name: str | None = None,
-                 factors: list[tuple[str, Valuation]] | None = None,
-                 potentials: list[tuple[str, SetPotential]] | None = None,
-                 universes: dict[str, Universe] | None = None,
-                 partitions: list[tuple[str, Partition]] | None = None,
-                 trees: list[NamedTree] | None = None,
-                 sequences: list[tuple[str, EliminationSequence]] | None = None,
-                 queries: list[Domain] | None = None,
-                 hypotheses: list[tuple[str, FocalSet]] | None = None):
+    def __init__(self, catalog: VariableCatalog, semiring_name: str | None = None):
         self.catalog = catalog
         self.semiring_name = semiring_name
-        self.factors = [] if factors is None else factors
-        self.potentials = [] if potentials is None else potentials
-        self.universes = {} if universes is None else universes
-        self.partitions = [] if partitions is None else partitions
-        self.trees = [] if trees is None else trees
-        self.sequences = [] if sequences is None else sequences
-        self.queries = [] if queries is None else queries
-        self.hypotheses = [] if hypotheses is None else hypotheses
+        self.factors: list[tuple[str, Valuation]] = []
+        self.potentials: list[tuple[str, SetPotential]] = []
+        self.universes: dict[str, Universe] = {}
+        self.partitions: list[tuple[str, Partition]] = []
+        self.trees: list[NamedTree] = []
+        self.sequences: list[tuple[str, EliminationSequence]] = []
+        self.queries: list[Domain] = []
+        self.hypotheses: list[tuple[str, FocalSet]] = []
         self._semirings: dict[tuple[str, Comparator], Semiring] = {}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        fields = self.__slots__[:-1]  # the semiring cache is not compared
-        return ([getattr(self, f) for f in fields]
-                == [getattr(other, f) for f in fields])
 
     def semiring(self, comparator: Comparator = DEFAULT_COMPARATOR) -> Semiring:
         """The declared semiring: one shared instance per comparator.
@@ -102,9 +81,10 @@ class Model:
         if self.semiring_name is None:
             raise ParseError("model declares no semiring")
         key = (self.semiring_name, comparator)
-        if key not in self._semirings:
-            self._semirings[key] = get_instance(*key)
-        return self._semirings[key]
+        sr = self._semirings.get(key)
+        if sr is None:
+            sr = self._semirings[key] = get_instance(*key)
+        return sr
 
 
 def _index(tok: str, line_no: int) -> int:
@@ -273,11 +253,10 @@ class _Parser:
         for no, t in self.block_lines():
             if t[0] != "table":
                 raise ParseError("expected 'table VALUE...'", no)
-            for tok in t[1:]:
-                try:
-                    values.append(sr.parse(tok))
-                except Exception as exc:
-                    raise ParseError(str(exc), no) from None
+            try:
+                values.extend(map(sr.parse, t[1:]))
+            except Exception as exc:
+                raise ParseError(str(exc), no) from None
         expected = self.catalog.config_count(domain, cap=None)  # the table bounds the work
         if len(values) != expected:
             raise ParseError(

@@ -21,9 +21,6 @@ class LawResult(Frozen):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "witness", witness)
 
-    def _key(self) -> tuple:
-        return (self.law, self.status, self.witness)
-
     def line(self) -> str:
         out = f"law {self.law}: {self.status}"
         if self.witness:
@@ -61,9 +58,6 @@ class CheckReport(Frozen):
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "laws", laws)
         object.__setattr__(self, "details", details)
-
-    def _key(self) -> tuple:
-        return (self.subject, self.seed, self.samples, self.laws, self.details)
 
     @property
     def passed(self) -> bool:

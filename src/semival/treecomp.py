@@ -47,7 +47,7 @@ from typing import Sequence
 
 from . import domains as dm
 from .domains import Domain, VariableCatalog
-from .errors import CapabilityError, DomainError, Frozen
+from .errors import CapabilityError, DomainError, Frozen, Record
 from .semiring import Semiring
 
 
@@ -141,9 +141,6 @@ class EliminationSequence(Frozen):
                 raise DomainError(f"pointer b({i}) = {j} must satisfy {i} < b({i}) < {n}")
         object.__setattr__(self, "domains", domains)
         object.__setattr__(self, "b", b)
-
-    def _key(self) -> tuple:
-        return (self.domains, self.b)
 
     def __len__(self) -> int:
         return len(self.domains)
@@ -338,12 +335,7 @@ class ValuationOps:
     def solve_to(self, a, x: Domain):
         if x <= a.domain:
             return self._va.project(a, x)
-        if self.semiring.idempotent_add:
-            return self._va.transport(a, x, cap=self.cap)
-        raise CapabilityError(
-            f"cannot move a {self.semiring.name} valuation from {a.domain} "
-            f"to non-subset {x}: transport needs idempotent addition"
-        )
+        return self._va.transport(a, x, cap=self.cap)
 
     def deviation(self, a, b) -> float:
         dev = 0.0
@@ -390,7 +382,7 @@ class SetPotentialOps:
         return self._bf.mass_deviation(a, b)
 
 
-class MessageStore:
+class MessageStore(Record):
     """Inward messages cached by collect, keyed by directed edge (w -> v)."""
 
     __slots__ = ("root", "messages", "node_factors")
@@ -400,12 +392,6 @@ class MessageStore:
         self.root = root
         self.messages = {} if messages is None else messages
         self.node_factors = node_factors
-
-    def __eq__(self, other):  # by value, so unhashable
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.root, self.messages, self.node_factors)
-                == (other.root, other.messages, other.node_factors))
 
 
 def _node_factors(tree: LabeledTree, factors: Sequence, ops) -> list:

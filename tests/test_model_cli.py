@@ -743,7 +743,7 @@ def test_nonpositive_samples_are_rejected(what, samples):
 
 @pytest.mark.parametrize("tolerance", [
     "nan,nan", "nan,1e-12", "1e-9,nan", "-1e-9,1e-12", "1e-9,-1e-12",
-    "inf,1e-12", "1e-9,inf", "1e-9,-inf",
+    "inf,1e-12", "1e-9,inf", "1e-9,-inf", "",
 ])
 def test_bad_tolerance_is_a_parse_error(tolerance):
     # the "=" form, because argparse reads a leading "-" as a flag

@@ -538,6 +538,23 @@ def test_naive_solve_edge_cases():
     assert sv.naive_solve([], cat.domain("x"), bops).table == (1, 1)
 
 
+def test_solve_to_a_non_subset_is_transport_behind_its_gate():
+    cat = sv.VariableCatalog.of({"x": ("0", "1"), "y": ("0", "1", "2")})
+    x, xy, y = cat.domain("x"), cat.domain("x", "y"), cat.domain("y")
+    ar = sv.get_instance("arithmetic")
+    f = sv.Valuation(cat, ar, x, (0.3, 0.7))
+    assert tc.ValuationOps(cat, ar).solve_to(f, x).table == (0.3, 0.7)
+    for target in (xy, y):
+        with pytest.raises(CapabilityError, match="transport needs idempotent addition"):
+            tc.ValuationOps(cat, ar).solve_to(f, target)
+    tr = sv.get_instance("tropical")
+    g = sv.Valuation(cat, tr, xy, (0, -1, 2, 1, float("-inf"), 3))
+    ops = tc.ValuationOps(cat, tr)
+    for target in (x, xy, y, cat.domain()):
+        assert sv.valuations_equal(ops.solve_to(g, target), sv.transport(g, target))
+    assert ops.solve_to(g, x).table == (2, 3)
+
+
 def test_hypertree_collect_small_instances():
     rng = random.Random(6)
     for name in ("boolean", "tropical", "bottleneck"):

@@ -4,12 +4,16 @@ Immutable value types compare and hash by their fields and refuse
 attribute assignment.  ``Semiring``, ``Valuation`` and ``SetPotential``
 compare and hash by identity.  ``Model``, ``NamedTree`` and
 ``MessageStore`` compare by their fields, are unhashable, stay mutable and
-get fresh defaults per instance.
+get fresh defaults per instance.  A type that declares its fields in
+``__slots__`` compares by every public one of them, so a field added
+later takes part in equality with no second edit; a private slot, such
+as ``Model``'s semiring cache, takes none.
 """
 
 import pytest
 
 import semival as sv
+from semival.errors import Frozen
 from semival.model import Model, NamedTree
 from semival.reports import CheckReport, LawResult
 
@@ -96,6 +100,39 @@ def test_frozen_fields_refuse_assignment(name):
     with pytest.raises(AttributeError):
         delattr(obj, field)
     assert getattr(obj, field) is before
+
+
+# instances of the types whose equality reads the fields of their __slots__
+SLOTTED = {
+    **{name: VALUES[name][0]() for name in ("Comparator", "Domain", "Variable",
+                                             "EliminationSequence", "LawResult",
+                                             "CheckReport")},
+    "NamedTree": NamedTree("t", (DX,), (), {"f": 0}),
+    "Model": Model(CAT, "boolean"),
+    "MessageStore": sv.MessageStore(0, {(1, 0): "m"}, ("f",)),
+}
+
+
+def _with_field(obj, field, value):
+    """A copy of ``obj`` whose slot ``field`` holds ``value``; the others are shared."""
+    copy = object.__new__(type(obj))
+    for f in type(obj).__slots__:
+        object.__setattr__(copy, f, value if f == field else getattr(obj, f))
+    return copy
+
+
+@pytest.mark.parametrize("name", sorted(SLOTTED))
+def test_every_public_slot_takes_part_in_equality(name):
+    obj = SLOTTED[name]
+    assert _with_field(obj, None, None) == obj
+    for field in type(obj).__slots__:
+        other = _with_field(obj, field, object())
+        if field.startswith("_"):
+            assert other == obj and not other != obj, field
+        else:
+            assert other != obj and obj != other and not other == obj, field
+        if isinstance(obj, Frozen):
+            assert (hash(other) == hash(obj)) == field.startswith("_"), field
 
 
 def test_mutable_types_compare_by_value_and_are_unhashable():
