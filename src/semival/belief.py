@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from functools import cached_property, cmp_to_key, reduce
+from functools import cmp_to_key, reduce
 from itertools import compress, count
 
 from . import domains as dm
@@ -47,6 +47,8 @@ BPA = "bpa"
 class FocalSet(Frozen):
     """A set of configurations of one domain, as a mask over its frame: bit i
     is the i-th configuration in row-major order (tuple order)."""
+
+    __slots__ = ("catalog", "domain", "mask", "_hash")
 
     def __init__(self, catalog: VariableCatalog, domain: Domain, mask: int):
         n = catalog.config_count(domain, cap=None)
@@ -133,8 +135,10 @@ _TUPLE_ORDER = cmp_to_key(_compare_focal)
 
 
 class SetPotential(Frozen):
-    """Compared and hashed by identity, as valuations are."""
+    """Compared and hashed by identity, as valuations are.  ``by_set`` maps
+    each focal set to its mass."""
 
+    __slots__ = ("catalog", "domain", "focal", "kind", "conflict", "by_set")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -153,10 +157,7 @@ class SetPotential(Frozen):
         if conflict is None:  # not conditioned: the empty set's own mass
             conflict = math.fsum(mass for fs, mass in focal if not fs.mask)
         object.__setattr__(self, "conflict", conflict)
-
-    @cached_property
-    def by_set(self) -> dict[FocalSet, float]:
-        return dict(self.focal)
+        object.__setattr__(self, "by_set", dict(focal))
 
     def mass(self, fs: FocalSet) -> float:
         return self.by_set.get(fs, 0.0)

@@ -16,6 +16,7 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
+from . import __version__
 from .compare import Comparator, DEFAULT_COMPARATOR
 from .domains import DEFAULT_CONFIG_CAP, Domain
 from .errors import CapabilityError, DomainError, ParseError, SemivalError
@@ -24,8 +25,6 @@ from .semiring import format_value
 
 if TYPE_CHECKING:  # each command imports the modules it runs
     from .belief import SetPotential
-
-VERSION = "0.1.0"
 
 
 def _potential_lines(model: Model, pot: SetPotential, prefix: str) -> list[str]:
@@ -242,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="semival",
         description="local computation over semiring valuations and set potentials",
     )
-    p.add_argument("--version", action="version", version=f"semival {VERSION}")
+    p.add_argument("--version", action="version", version=f"semival {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -342,7 +341,7 @@ def main(argv=None) -> int:
         return 1
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
     header = [
-        f"semival {VERSION}",
+        f"semival {__version__}",
         f"command: {args.command}",
         f"input: sha256:{digest}",
     ]

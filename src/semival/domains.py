@@ -18,7 +18,7 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -117,12 +117,16 @@ class Variable(Frozen):
 class VariableCatalog(Frozen):
     """Named variables with finite frames under a fixed total name order."""
 
+    __slots__ = ("variables", "_by_name", "_sizes")
+
     def __init__(self, variables: tuple[Variable, ...]):
         ordered = tuple(sorted(variables, key=lambda v: v.name))
-        names = [v.name for v in ordered]
-        if len(set(names)) != len(names):
+        by_name = {v.name: v for v in ordered}
+        if len(by_name) != len(ordered):
             raise DomainError("duplicate variable names in catalog")
         object.__setattr__(self, "variables", ordered)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_sizes", {v.name: len(v.frame) for v in ordered})
 
     # no _key(), and an identity test first: every operation on two tables
     # compares their catalogs, which are almost always one object
@@ -139,14 +143,6 @@ class VariableCatalog(Frozen):
     @classmethod
     def of(cls, spec: Mapping[str, Iterable[str]]) -> "VariableCatalog":
         return cls(tuple(Variable(n, tuple(f)) for n, f in spec.items()))
-
-    @cached_property
-    def _by_name(self) -> dict[str, Variable]:
-        return {v.name: v for v in self.variables}
-
-    @cached_property
-    def _sizes(self) -> dict[str, int]:
-        return {v.name: len(v.frame) for v in self.variables}
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name

@@ -1,7 +1,7 @@
 """Shared exception types, and the bases of the value types.
 
-A value type declares its fields once, in ``__slots__``; equality, and
-for immutable values hashing, follow from that list.
+Every value type declares its fields once, in ``__slots__``; equality,
+and for immutable values hashing, follow from that list.
 
 The CLI maps these onto exit codes: parse problems exit 2, capability
 problems exit 3, everything else that reaches the top level exits 1.
@@ -42,9 +42,10 @@ class Frozen(Record):
     ``object.__setattr__``; assigning or deleting one afterwards raises
     ``AttributeError``.  As for a record, the key holds the public fields
     of ``__slots__`` in order, and a slot whose name starts with ``_``
-    takes no part in equality or hashing.  A subclass without
-    ``__slots__``, because it caches properties, writes its own ``_key``
-    (or its own ``__eq__`` and ``__hash__``).
+    takes no part in equality or hashing.  A lookup derived from the
+    fields is a slot too, filled by ``__init__``; one that cannot be
+    hashed, such as a dict, is private unless the subclass hashes by
+    identity.
     """
 
     __slots__ = ()

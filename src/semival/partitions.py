@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import DomainError, Frozen, MismatchError
@@ -30,27 +30,29 @@ Label = Hashable
 
 
 class Universe(Frozen):
+    __slots__ = ("elements", "_position")
+
     def __init__(self, elements: tuple[Label, ...]):
         if not elements:
             raise DomainError("universe must be nonempty")
-        if len(set(elements)) != len(elements):
+        position = {e: i for i, e in enumerate(elements)}
+        if len(position) != len(elements):
             raise DomainError("universe labels must be distinct")
         object.__setattr__(self, "elements", elements)
-
-    def _key(self) -> tuple:
-        return (self.elements,)
-
-    @cached_property
-    def position(self) -> dict:
-        return {e: i for i, e in enumerate(self.elements)}
+        object.__setattr__(self, "_position", position)
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
 class Partition(Frozen):
+    """``ids`` holds each element's block index, in universe order (a
+    restricted growth string)."""
+
+    __slots__ = ("universe", "blocks", "ids")
+
     def __init__(self, universe: Universe, blocks: tuple[tuple[Label, ...], ...]):
-        pos = universe.position
+        pos = universe._position
         seen: set = set()
         canonical = []
         for block in blocks:
@@ -66,11 +68,10 @@ class Partition(Frozen):
         if len(seen) != len(universe):
             raise DomainError("blocks do not cover the universe")
         canonical.sort(key=lambda b: pos[b[0]])
+        ids = {e: i for i, block in enumerate(canonical) for e in block}
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "blocks", tuple(canonical))
-
-    def _key(self) -> tuple:
-        return (self.universe, self.blocks)
+        object.__setattr__(self, "ids", tuple(map(ids.__getitem__, universe.elements)))
 
     @classmethod
     def of(cls, universe: Universe, blocks: Iterable[Iterable[Label]]) -> "Partition":
@@ -83,12 +84,6 @@ class Partition(Frozen):
     @classmethod
     def singletons(cls, universe: Universe) -> "Partition":
         return cls(universe, tuple((e,) for e in universe.elements))
-
-    @cached_property
-    def ids(self) -> tuple[int, ...]:
-        """Each element's block index, in universe order (a restricted growth string)."""
-        block = {e: i for i, b in enumerate(self.blocks) for e in b}
-        return tuple(block[e] for e in self.universe.elements)
 
     def __str__(self) -> str:
         return " ".join("{" + " ".join(str(e) for e in b) + "}" for b in self.blocks)
@@ -132,7 +127,7 @@ def partition_join(p1: Partition, p2: Partition) -> Partition:
 
 def saturate(p: Partition, xs: Iterable[Label]) -> frozenset:
     """Smallest union of blocks of ``p`` covering ``xs``."""
-    pos = p.universe.position
+    pos = p.universe._position
     ids = set()
     for e in xs:
         if e not in pos:

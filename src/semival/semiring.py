@@ -97,10 +97,6 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _sample_boolean(rng: random.Random) -> int:
-    return _below(rng, 2)
-
-
 def _sample_arithmetic(rng: random.Random) -> float:
     r = rng.random()
     if r < 0.15:
@@ -136,20 +132,7 @@ def builtin_instances(comparator: Comparator = DEFAULT_COMPARATOR) -> dict[str, 
     """The stock instances, keyed by their model-file identifiers."""
     cmp_eq = comparator.eq
     return {
-        "boolean": Semiring(
-            name="boolean",
-            carrier="{0, 1} with max as + and min as *",
-            add=max,
-            mul=min,
-            zero=0,
-            one=1,
-            idempotent_add=True,
-            positive=True,
-            idempotent_mul=True,
-            eq=lambda a, b: a == b,
-            sample=_sample_boolean,
-            member=lambda v: v in (0, 1),
-        ),
+        "boolean": _chain(2, "boolean", "{0, 1} with max as + and min as *"),
         "arithmetic": Semiring(
             name="arithmetic",
             carrier="nonnegative reals with ordinary + and *",
@@ -213,9 +196,14 @@ def chain_instance(k: int) -> Semiring:
     """Bounded chain 0 < 1 < ... < k-1 with max as + and min as *."""
     if k < 1:
         raise DomainError("chain size must be >= 1")
+    return _chain(k, f"chain({k})", f"chain 0..{k - 1} with max as + and min as *")
+
+
+def _chain(k: int, name: str, carrier: str) -> Semiring:
+    """The chain 0 < 1 < ... < k-1 under ``name``; ``boolean`` is the chain of two."""
     return Semiring(
-        name=f"chain({k})",
-        carrier=f"chain 0..{k - 1} with max as + and min as *",
+        name=name,
+        carrier=carrier,
         add=max,
         mul=min,
         zero=0,

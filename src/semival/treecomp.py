@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Sequence
 
 from . import domains as dm
@@ -60,8 +60,11 @@ class LabeledTree(Frozen):
     """A tree whose nodes carry domains; factors are assigned to nodes.
 
     ``assignment[k]`` is the node holding factor ``k``; every factor's
-    domain must be covered by its node's label.
+    domain must be covered by its node's label.  ``neighbors[v]`` lists
+    the nodes adjacent to ``v``, ascending.
     """
+
+    __slots__ = ("labels", "edges", "assignment", "neighbors")
 
     def __init__(self, labels: tuple[Domain, ...], edges: tuple[tuple[int, int], ...],
                  assignment: tuple[int, ...] = ()):
@@ -80,25 +83,20 @@ class LabeledTree(Frozen):
             norm.append(e)
         if len(norm) != n - 1:
             raise DomainError(f"{n} nodes need {n - 1} edges, got {len(norm)}")
+        norm.sort()  # so each node's neighbours are appended in ascending order
+        neighbors: list[list[int]] = [[] for _ in labels]
+        for a, b in norm:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "neighbors", tuple(map(tuple, neighbors)))
         if len(self.rooted_order(0)[0]) != n:
             raise DomainError("tree is not connected")
         for k, v in enumerate(assignment):
             if not 0 <= v < n:
                 raise DomainError(f"factor {k} assigned to missing node {v}")
-
-    def _key(self) -> tuple:
-        return (self.labels, self.edges, self.assignment)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in self.labels]
-        for a, b in self.edges:
-            out[a].append(b)
-            out[b].append(a)
-        return tuple(tuple(sorted(ns)) for ns in out)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -100,6 +100,15 @@ def random_mass_function(rng: random.Random, cat, domain, allow_empty=True):
     return sv.set_potential(cat, domain, [(s, m / total) for s, m in zip(chosen, masses)])
 
 
+def categorical(v):
+    """The categorical potential of boolean table ``v``: mass 1 on its
+    support, the relation of the configurations where ``v`` is 1.  An empty
+    relation puts its mass on the empty set."""
+    mask = sum(1 << i for i, x in enumerate(v.table) if x)
+    return sv.set_potential(v.catalog, v.domain,
+                            [(FocalSet(v.catalog, v.domain, mask), 1.0)], "bpa")
+
+
 def exact_equal(a, b) -> bool:
     """Value-level exact table equality (2 == 2.0 counts as equal)."""
     return a.domain == b.domain and all(x == y for x, y in zip(a.table, b.table))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import semival as sv
+from semival import treecomp as tc
 from semival.errors import CapacityError, DomainError, MassError, TotalConflictError
 from semival.semiring import format_value
 
@@ -633,3 +634,57 @@ def test_single_singleton_operand_bounds_output(ab):
     cylinder = sv.transport_potential(point, cat2.domain("u", "v"))
     cyl_mask = cylinder.focal[0][0].mask
     assert all(f.mask | cyl_mask == cyl_mask for f, _ in out.focal)
+
+
+def _random_relations(rng):
+    """2-7 variables of 1-3 values, 1-5 boolean factors whose cells are 1
+    with probability 0.7, and a query of 0-2 variables."""
+    cat = sv.VariableCatalog.of({f"x{i}": "012"[:rng.randint(1, 3)]
+                                 for i in range(rng.randint(2, 7))})
+    bo = sv.get_instance("boolean")
+    factors = []
+    for _ in range(rng.randint(1, 5)):
+        d = helpers.random_domain(rng, cat)
+        table = tuple(int(rng.random() < 0.7) for _ in range(cat.config_count(d)))
+        factors.append(sv.Valuation(cat, bo, d, table))
+    return cat, factors, helpers.random_domain(rng, cat, max_size=2)
+
+
+def test_categorical_potentials_are_the_relational_algebra():
+    # a boolean table and the potential with mass 1 on its support are one
+    # relation: local computation on either gives the same relations
+    rng = random.Random(19)
+    bo = sv.get_instance("boolean")
+    for _ in range(400):
+        cat, factors, query = _random_relations(rng)
+        tree = sv.build_covering_join_tree([f.domain for f in factors], cover=[query])
+        root = rng.randrange(len(tree))
+        at = (tree.labels[root], *tree.labels, query)
+        results = []
+        for ops, fs, equal in (
+                (sv.ValuationOps(cat, bo), factors, helpers.exact_equal),
+                (sv.SetPotentialOps(cat), [helpers.categorical(f) for f in factors],
+                 helpers.potentials_equal)):
+            collected, store = sv.collect(tree, fs, root, ops)
+            nodes = sv.distribute(tree, store, ops)
+            found = [collected, *nodes, nodes[tc.default_root(tree, query)]]
+            answers = [ops.solve_to(r, d) for r, d in zip(found, at)]
+            for got, d in zip(answers, at):
+                assert equal(got, sv.naive_solve(fs, d, ops)), d
+            results.append(answers)
+        for table, pot in zip(*results):
+            want = helpers.categorical(table)
+            assert pot.domain == want.domain and pot.focal == want.focal
+            assert len(pot.focal) == 1 and pot.focal[0][1] == 1.0
+
+
+def test_categorical_potentials_are_idempotent():
+    # phi * phi->t == phi->(d(phi) | t)
+    rng = random.Random(1976)
+    for _ in range(400):
+        cat, factors, t = _random_relations(rng)
+        phi = helpers.categorical(rng.choice(factors))
+        lhs = sv.combine_potentials(phi, sv.transport_potential(phi, t))
+        rhs = sv.transport_potential(phi, phi.domain | t)
+        assert lhs.domain == rhs.domain and lhs.focal == rhs.focal
+        assert len(lhs.focal) == 1 and lhs.focal[0][1] == 1.0

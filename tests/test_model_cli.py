@@ -366,6 +366,32 @@ def test_assign_may_precede_its_factor():
     assert code == 0 and "status: ok" in out
 
 
+def test_solve_runs_the_factors_of_a_mixed_model():
+    factors = (
+        "catalog\n  var x : 0 1\n  var y : 0 1 2\nend\nsemiring arithmetic\n"
+        "factor f on x y\n  table 0.1 0.2 0.3 0.4 0.5 0.6\nend\n"
+        "factor g on y\n  table 1 2 3\nend\nquery x\nquery y\n"
+    )
+    potential = "potential p on x y\n  kind bpa\n  focal 1 : (0 0) (1 2)\nend\n"
+    results = []
+    for text in (factors, factors + potential):
+        code, out, _ = _run_stdin(["solve", "-", "--oracle"], text)
+        assert code == 0 and out.endswith("status: ok\n")
+        results.append([line for line in out.split("\n") if line.startswith("result ")])
+    assert len(results[0]) == 2 and results[1] == results[0]
+    code, out, _ = _run_stdin(["evidence", "-", "--op", "combine"], factors + potential)
+    assert code == 0 and "combined: p\n" in out
+
+
+def test_version_flag_and_report_header_print_the_package_version():
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0 and out.getvalue() == f"semival {sv.__version__}\n"
+    code, out, _ = run_cli(["solve", "models/chain.sv"])
+    assert code == 0 and out.startswith(f"semival {sv.__version__}\ncommand: solve\n")
+
+
 def test_factor_before_semiring_names_the_factor_line():
     text = ("catalog\n  var x : 0 1\nend\n"
             "factor f on x\n  table 1 0\nend\nsemiring boolean\n")
@@ -796,6 +822,26 @@ def test_evidence_union_over_cap_exits_1(op):
                    "has more than 100 configurations\n")
     code, out, _ = _run_stdin(["evidence", "-", "--op", op, "--cap", "128"], _SEVEN_BINARY)
     assert code == 0 and out.endswith("status: ok\n")
+
+
+_LATER_HYPOTHESIS_OVER_CAP = (
+    "catalog\n" + "".join(f"  var {v} : 0 1\n" for v in "abcd") + "end\n"
+    "potential p on a b\n  kind bpa\n  focal 0.5 : (0 0) (1 1)\n"
+    "  focal 0.5 : (0 0) (0 1) (1 0) (1 1)\nend\n"
+    "hypothesis h1 on a : (0)\nhypothesis h2 on c d : (0 0)\n"
+)
+
+
+@pytest.mark.parametrize("op", ["support", "plausibility"])
+def test_a_later_hypothesis_over_cap_leaves_stdout_empty(op):
+    # h1 is answerable on {a b}; h2 needs {a b c d}, 16 configurations
+    text = _LATER_HYPOTHESIS_OVER_CAP
+    code, out, err = _run_stdin(["evidence", "-", "--op", op, "--cap", "8"], text)
+    assert (code, out) == (1, "")
+    assert err == "semival: error: domain {a b c d} has more than 8 configurations\n"
+    code, out, _ = _run_stdin(["evidence", "-", "--op", op, "--cap", "16"], text)
+    assert code == 0 and out.endswith("status: ok\n")
+    assert "hypothesis h1 " in out and "hypothesis h2 " in out
 
 
 @pytest.mark.parametrize("focal, conflict", [

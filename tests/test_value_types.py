@@ -1,19 +1,23 @@
 """Value semantics of the package's value types.
 
-Immutable value types compare and hash by their fields and refuse
-attribute assignment.  ``Semiring``, ``Valuation`` and ``SetPotential``
-compare and hash by identity.  ``Model``, ``NamedTree`` and
-``MessageStore`` compare by their fields, are unhashable, stay mutable and
-get fresh defaults per instance.  A type that declares its fields in
-``__slots__`` compares by every public one of them, so a field added
-later takes part in equality with no second edit; a private slot, such
-as ``Model``'s semiring cache, takes none.
+Every value type declares its fields in ``__slots__``, so no instance has
+a ``__dict__``.  Immutable value types compare and hash by their fields
+and refuse attribute assignment.  ``Semiring``, ``Valuation`` and
+``SetPotential`` compare and hash by identity.  ``Model``, ``NamedTree``
+and ``MessageStore`` compare by their fields, are unhashable, stay mutable
+and get fresh defaults per instance.  A type compares by every public one
+of its slots, so a field added later takes part in equality with no
+second edit; a private slot, such as ``Model``'s semiring cache or
+``Universe``'s position lookup, takes none.
 """
+
+import importlib
+import pkgutil
 
 import pytest
 
 import semival as sv
-from semival.errors import Frozen
+from semival.errors import Frozen, Record
 from semival.model import Model, NamedTree
 from semival.reports import CheckReport, LawResult
 
@@ -102,11 +106,37 @@ def test_frozen_fields_refuse_assignment(name):
     assert getattr(obj, field) is before
 
 
+def _value_types(cls=Record):
+    """Every subclass of ``cls`` that a module of the package defines."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("semival."):
+            yield sub
+        yield from _value_types(sub)
+
+
+for _module in pkgutil.iter_modules(sv.__path__):
+    importlib.import_module(f"semival.{_module.name}")
+VALUE_TYPES = {cls.__name__: cls for cls in _value_types()}
+
+
+def test_value_types_are_found():
+    assert {"Frozen", "Domain", "VariableCatalog", "Universe", "Partition", "LabeledTree",
+            "FocalSet", "SetPotential", "Model", "MessageStore"} <= set(VALUE_TYPES)
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_every_value_type_declares_its_slots(name):
+    cls = VALUE_TYPES[name]
+    assert "__slots__" in vars(cls)
+    assert not hasattr(object.__new__(cls), "__dict__")
+
+
 # instances of the types whose equality reads the fields of their __slots__
 SLOTTED = {
     **{name: VALUES[name][0]() for name in ("Comparator", "Domain", "Variable",
-                                             "EliminationSequence", "LawResult",
-                                             "CheckReport")},
+                                             "VariableCatalog", "LabeledTree",
+                                             "EliminationSequence", "Universe",
+                                             "Partition", "LawResult", "CheckReport")},
     "NamedTree": NamedTree("t", (DX,), (), {"f": 0}),
     "Model": Model(CAT, "boolean"),
     "MessageStore": sv.MessageStore(0, {(1, 0): "m"}, ("f",)),
